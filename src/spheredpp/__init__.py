@@ -33,7 +33,6 @@ from .models import (
     matern_eta_max_d1,
     matern_psi,
     most_repulsive_spectrum,
-    multiquadric_coeffs,
     multiquadric_eta_max,
     resolve,
     spectral_model_spectrum,

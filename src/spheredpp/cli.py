@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -146,8 +145,7 @@ def cmd_mle(args) -> int:
 
 def cmd_validate(args) -> int:
     model = models.resolve(models.load_model(args.model))
-    threads = args.threads or int(os.environ.get("SPHEREDPP_THREADS", "1"))
-    report = diagnostics.montecarlo_validate(model, args.reps, args.seed, threads)
+    report = diagnostics.montecarlo_validate(model, args.reps, args.seed)
     payload = report.to_json()
     if args.out:
         _write_json(args.out, payload)
@@ -219,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_validate)
 

@@ -266,27 +266,18 @@ class ValidationReport:
         }
 
 
-def montecarlo_validate(model, n_reps: int, seed: int, threads: int = 1) -> ValidationReport:
+def montecarlo_validate(model, n_reps: int, seed: int) -> ValidationReport:
     """Simulate ``n_reps`` patterns and compare count moments at 3 sigma.
 
     Each replicate draws from an independently seeded substream
-    ('replicate:i' derived from the root seed), so results do not
-    depend on scheduling.
+    ('replicate:i' derived from the root seed).
     """
     if n_reps < 2:
         raise ValueError("need at least 2 replicates")
-
-    def one(i: int) -> int:
-        rng = substream(seed, "replicate", i)
-        return len(sample_dpp(model, rng).pattern)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = np.array(list(pool.map(one, range(n_reps))), dtype=float)
-    else:
-        counts = np.array([one(i) for i in range(n_reps)], dtype=float)
+    counts = np.array(
+        [len(sample_dpp(model, substream(seed, "replicate", i)).pattern) for i in range(n_reps)],
+        dtype=float,
+    )
 
     mean = float(np.mean(counts))
     var = float(np.var(counts, ddof=1))

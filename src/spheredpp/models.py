@@ -25,8 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import kv
-from scipy.stats import nbinom
+from scipy.special import comb, kv
 
 from .harmonics import multiplicities, multiplicity
 from .spectra import (
@@ -34,14 +33,12 @@ from .spectra import (
     ExistenceError,
     MercerSpectrum,
     QuadratureSpec,
-    SchoenbergSeq,
     TruncationPolicy,
     beta_from_kernel,
     correlation_mercer,
     d_schoenberg_from_psi,
     from_density_kernel,
     mercer_from_d,
-    schoenberg_to_d,
     to_density_kernel,
 )
 from .sphere import surface_measure
@@ -77,24 +74,6 @@ def _check_multiquadric(tau, delta):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
-def multiquadric_schoenberg(
-    tau: float, delta: float, trunc: TruncationPolicy = TruncationPolicy()
-) -> SchoenbergSeq:
-    """Schoenberg coefficients beta_l = binom(tau+l-1, l) p^l (1-p)^tau.
-
-    This is the negative binomial pmf with p = 2 delta / (1 + delta^2);
-    the sequence is truncated at the level where the NB survival mass
-    drops below the policy's tail tolerance.
-    """
-    _check_multiquadric(tau, delta)
-    p = 2.0 * delta / (1.0 + delta * delta)
-    L = int(nbinom.ppf(1.0 - trunc.tail_tol, tau, 1.0 - p))
-    L = min(max(L, 8), trunc.max_level)
-    values = nbinom.pmf(np.arange(L + 1), tau, 1.0 - p)
-    tail = float(nbinom.sf(L, tau, 1.0 - p))
-    return SchoenbergSeq(values, tail_bound=tail)
-
-
 def multiquadric_beta0_s2(tau: float, delta: float) -> float:
     """Closed-form maximal 2-Schoenberg coefficient beta_(0,2)."""
     _check_multiquadric(tau, delta)
@@ -115,63 +94,46 @@ def multiquadric_d_schoenberg(
 ) -> DSchoenbergSeq:
     """d-Schoenberg coefficients of the multiquadric correlation.
 
-    For tau = (d-1)/2 (d >= 2) the exact geometric-type closed form
-    beta_(l,d) = binom(l+d-2, l) delta^l (1-delta)^(d-1) applies and no
-    conversion truncation is involved.  Otherwise the Schoenberg
-    sequence is converted level by level; for d=2 the level-0 entry is
-    replaced by its closed form.
+    For tau = (d-1)/2 (d >= 2) the exact closed form
+    beta_(l,d) = binom(l+d-2, l) delta^l (1-delta)^(d-1) applies; otherwise
+    the closed-form psi is inverted by quadrature.  The level count doubles
+    from 64 up to the policy's cap and is cut at the smallest L with
+    1 - sum_(l<=L) beta_(l,d) <= tail_tol; since psi(0) = 1 that is the
+    represented tail.  Reaching the cap first raises TruncationError.
     """
     _check_multiquadric(tau, delta)
     if dim >= 2 and tau == (dim - 1) / 2.0:
-        L = int(nbinom.ppf(1.0 - trunc.tail_tol, dim - 1, 1.0 - delta))
-        L = min(max(L, 8), trunc.max_level)
-        values = nbinom.pmf(np.arange(L + 1), dim - 1, 1.0 - delta)
-        tail = float(nbinom.sf(L, dim - 1, 1.0 - delta))
-        return DSchoenbergSeq(dim, values, tail_bound=tail)
-    sch = multiquadric_schoenberg(tau, delta, trunc)
-    out = schoenberg_to_d(sch, dim, n_max=min(trunc.max_level, len(sch) - 1))
-    values = np.array(out.values)
-    if dim == 2:
-        values[0] = multiquadric_beta0_s2(tau, delta)
-    tail = min(1.0, max(0.0, 1.0 - float(np.sum(values))))
-    return DSchoenbergSeq(dim, values, tail_bound=tail)
 
+        def levels(n_max):
+            ells = np.arange(n_max + 1)
+            return comb(ells + dim - 2, dim - 2) * delta**ells * (1.0 - delta) ** (dim - 1)
 
-@dataclass(frozen=True)
-class MultiquadricCoeffs:
-    psi: object
-    schoenberg: SchoenbergSeq
-    d_schoenberg: DSchoenbergSeq
+    else:
+        psi = multiquadric_psi(tau, delta)
 
+        def levels(n_max):
+            return d_schoenberg_from_psi(psi, dim, n_max).values
 
-def multiquadric_coeffs(
-    tau: float,
-    delta: float,
-    dim: int,
-    trunc: TruncationPolicy = TruncationPolicy(),
-) -> MultiquadricCoeffs:
-    """Bundle the closed-form psi with both coefficient sequences."""
-    return MultiquadricCoeffs(
-        psi=multiquadric_psi(tau, delta),
-        schoenberg=multiquadric_schoenberg(tau, delta, trunc),
-        d_schoenberg=multiquadric_d_schoenberg(tau, delta, dim, trunc),
-    )
+    n_max = min(64, trunc.max_level)
+    while True:
+        values = levels(n_max)
+        tails = 1.0 - np.cumsum(values)
+        cut = np.flatnonzero(tails <= trunc.tail_tol)
+        if len(cut):
+            L = int(cut[0])
+            return DSchoenbergSeq(dim, values[: L + 1], tail_bound=max(0.0, float(tails[L])))
+        if n_max == trunc.max_level:
+            raise TruncationError(
+                f"multiquadric tail {tails[-1]:.3g} exceeds tolerance at "
+                f"max_level={trunc.max_level}"
+            )
+        n_max = min(2 * n_max, trunc.max_level)
 
 
 def multiquadric_eta_max(tau: float, delta: float, dim: int) -> float:
-    """Largest expected count eta_max = 1/beta_(0,d) (psi is positive).
-
-    Equals (1-delta)^(1-d) when tau = (d-1)/2; for d=2 the closed-form
-    beta_(0,2) is used; other dimensions fall back to the converted
-    coefficient.
-    """
-    _check_multiquadric(tau, delta)
-    if dim >= 2 and tau == (dim - 1) / 2.0:
-        return (1.0 - delta) ** (1 - dim)
-    if dim == 2:
-        return 1.0 / multiquadric_beta0_s2(tau, delta)
-    beta_d = multiquadric_d_schoenberg(tau, delta, dim, TruncationPolicy(tail_tol=1e-10))
-    return 1.0 / float(beta_d.values[0])
+    """Largest expected count eta_max = 1/beta_(0,d) (psi is positive),
+    from the same coefficients that resolve uses."""
+    return 1.0 / float(multiquadric_d_schoenberg(tau, delta, dim).values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +591,9 @@ def _psi_family_beta(spec: ModelSpec):
     """(psi, beta_d, slope_override) for the closed-form psi families."""
     p = spec.params
     if spec.family == "multiquadric":
-        coeffs = multiquadric_coeffs(p["tau"], p["delta"], spec.dim, spec.trunc)
-        return coeffs.psi, coeffs.d_schoenberg, None
+        tau, delta = p["tau"], p["delta"]
+        beta_d = multiquadric_d_schoenberg(tau, delta, spec.dim, spec.trunc)
+        return multiquadric_psi(tau, delta), beta_d, None
     if spec.family == "matern":
         nu, c = p["nu"], p["c"]
         beta_d = matern_d_schoenberg(nu, c, spec.dim, n_max=min(spec.trunc.max_level, 512))

@@ -48,6 +48,10 @@ class SpherePoint:
             raise ValueError(
                 f"d={self.dim} needs {self.dim} angle(s), got {len(self.angles)}"
             )
+        names = ("theta",) if self.dim == 1 else ("colatitude", "longitude")
+        for name, value in zip(names, self.angles):
+            if not math.isfinite(float(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.dim == 1:
             object.__setattr__(self, "angles", (float(self.angles[0]) % TWO_PI,))
         else:
@@ -108,16 +112,20 @@ class SpherePoint:
         return np.array([st * math.cos(lon), st * math.sin(lon), math.cos(colat)])
 
 
-def geodesic_distance(x: SpherePoint, y: SpherePoint) -> float:
-    """Great-circle distance s = arccos(x . y) in [0, pi].
+def _angle_between(u, v) -> np.ndarray:
+    """Angle between unit vectors along the last axis, 2 atan2(|u-v|, |u+v|).
 
-    The dot product is clamped into [-1, 1] before arccos; rounding can
-    push it past 1 by ~1e-16.
+    Unlike arccos of the dot product, this keeps full relative precision
+    for nearly equal and nearly antipodal pairs.
     """
+    return 2.0 * np.arctan2(np.linalg.norm(u - v, axis=-1), np.linalg.norm(u + v, axis=-1))
+
+
+def geodesic_distance(x: SpherePoint, y: SpherePoint) -> float:
+    """Great-circle distance in [0, pi]."""
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    dot = float(np.dot(x.vector, y.vector))
-    return math.acos(min(1.0, max(-1.0, dot)))
+    return float(_angle_between(x.vector, y.vector))
 
 
 def pairwise_geodesic(points) -> np.ndarray:
@@ -131,10 +139,7 @@ def pairwise_geodesic(points) -> np.ndarray:
     if n == 0:
         return np.zeros((0, 0))
     vecs = np.array([p.vector for p in pts])
-    dots = np.clip(vecs @ vecs.T, -1.0, 1.0)
-    out = np.arccos(dots)
-    np.fill_diagonal(out, 0.0)
-    return out
+    return _angle_between(vecs[:, None, :], vecs[None, :, :])
 
 
 def sample_uniform(dim: int, rng: np.random.Generator) -> SpherePoint:

@@ -154,6 +154,19 @@ class TestFitCommands:
         fit = json.loads(fit_out.read_text())
         assert fit["converged"] is True
 
+    def test_loglik_rejects_nan_coordinate(self, tmp_path, capsys):
+        model = tmp_path / "mq1.json"
+        model.write_text(
+            json.dumps(
+                {"family": "multiquadric", "params": {"tau": 1.0, "delta": 0.5},
+                 "dim": 1, "mode": "density", "chi": 1.0}
+            )
+        )
+        pts = tmp_path / "pts.csv"
+        pts.write_text("theta\n0.5\nnan\n")
+        assert run(["loglik", "--model", str(model), "--pattern", str(pts)]) == 1
+        assert "theta" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_usage_error(self):

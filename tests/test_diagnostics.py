@@ -202,13 +202,6 @@ class TestMonteCarloValidation:
         assert report.var_count == 0.0
         assert report.passed
 
-    def test_threaded_matches_sequential(self):
-        model = resolve(ModelSpec("most_repulsive", {"eta": 3.0}, 1))
-        a = montecarlo_validate(model, 20, seed=9, threads=1)
-        b = montecarlo_validate(model, 20, seed=9, threads=4)
-        assert a.mean_count == b.mean_count
-        assert a.var_count == b.var_count
-
     def test_truncation_mean_below_eta(self):
         spec = ModelSpec(
             "multiquadric", {"tau": 0.5, "delta": 0.5}, 2, "kernel", rho=1.5 / (4 * math.pi)

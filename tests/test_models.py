@@ -7,6 +7,7 @@ import pytest
 from spheredpp.diagnostics import local_repulsiveness
 from spheredpp.models import (
     ModelSpec,
+    TruncationError,
     circular_matern_spectrum,
     compact_support_coeffs,
     compact_support_psi,
@@ -16,7 +17,6 @@ from spheredpp.models import (
     matern_psi,
     most_repulsive_spectrum,
     multiquadric_beta0_s2,
-    multiquadric_coeffs,
     multiquadric_d_schoenberg,
     multiquadric_eta_max,
     multiquadric_psi,
@@ -28,14 +28,14 @@ from spheredpp.spectra import (
     QuadratureSpec,
     TruncationPolicy,
     d_schoenberg_from_psi,
+    eval_psi_series,
 )
 from spheredpp.sphere import surface_measure
 
 
 class TestMultiquadric:
     def test_tau_half_closed_form(self):
-        coeffs = multiquadric_coeffs(0.5, 0.6, 2)
-        beta = coeffs.d_schoenberg
+        beta = multiquadric_d_schoenberg(0.5, 0.6, 2)
         ells = np.arange(len(beta.values))
         np.testing.assert_allclose(beta.values, 0.4 * 0.6**ells, rtol=1e-12)
         assert np.sum(beta.values) + beta.tail_bound == pytest.approx(1.0, abs=1e-9)
@@ -50,7 +50,7 @@ class TestMultiquadric:
         assert value == pytest.approx(0.25 * math.log(3.0), rel=1e-14)
 
     def test_beta0_matches_conversion(self):
-        # general tau: converted level-0 mass agrees with the closed form
+        # general tau: the quadrature level-0 mass agrees with the closed form
         for tau, delta in [(0.5, 0.2), (2.0, 0.5), (3.7, 0.4)]:
             beta = multiquadric_d_schoenberg(tau, delta, 2, TruncationPolicy(tail_tol=1e-10))
             assert beta.values[0] == pytest.approx(
@@ -58,16 +58,38 @@ class TestMultiquadric:
             )
 
     def test_quadrature_cross_validation(self):
+        # the truncated series reproduces the closed-form psi within its tail
+        s = np.linspace(0.0, math.pi, 301)
         for tau, delta in [(0.5, 0.5), (1.0, 0.3), (2.5, 0.4)]:
             beta = multiquadric_d_schoenberg(tau, delta, 2, TruncationPolicy(tail_tol=1e-9))
-            quad = d_schoenberg_from_psi(multiquadric_psi(tau, delta), 2, 25)
-            np.testing.assert_allclose(beta.values[:26], quad.values, atol=1e-7)
+            err = np.max(np.abs(eval_psi_series(beta, s) - multiquadric_psi(tau, delta)(s)))
+            assert err <= beta.tail_bound + 1e-9
 
     def test_eta_max(self):
         assert multiquadric_eta_max(0.5, 0.5, 2) == pytest.approx(2.0, rel=1e-12)
         assert multiquadric_eta_max(1.0, 0.5, 2) == pytest.approx(
             1.0 / (0.25 * math.log(3.0)), rel=1e-12
         )
+
+    # the figure-regime models: delta solved so that eta_max = 400 on S^2
+    FIGURE_DELTAS = {1.0: 0.9654362879120054, 10.0: 0.7416437737576226}
+
+    @pytest.mark.parametrize("tau", [1.0, 10.0])
+    def test_represented_eta_within_tail_tol(self, tau):
+        spec = ModelSpec(
+            "multiquadric", {"tau": tau, "delta": self.FIGURE_DELTAS[tau]}, 2,
+            rho=400.0 / surface_measure(2),
+        )
+        model = resolve(spec)
+        assert model.kernel.eta >= (1.0 - spec.trunc.tail_tol) * 400.0
+
+    def test_level_cap_raises(self):
+        spec = ModelSpec(
+            "multiquadric", {"tau": 1.0, "delta": self.FIGURE_DELTAS[1.0]}, 2,
+            rho=400.0 / surface_measure(2), trunc=TruncationPolicy(max_level=50),
+        )
+        with pytest.raises(TruncationError):
+            resolve(spec)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

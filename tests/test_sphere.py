@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spheredpp.sphere import (
@@ -56,6 +56,7 @@ class TestGeodesic:
         st.lists(st.tuples(st.floats(0, math.pi), st.floats(0, 2 * math.pi)), min_size=3, max_size=3)
     )
     @settings(max_examples=200, deadline=None)
+    @example([(0.0, 0.0), (1.0, 0.0), (1e-9, 0.0)])
     def test_symmetry_and_triangle(self, angles):
         a, b, c = (SpherePoint.s2(t, p) for t, p in angles)
         sab = geodesic_distance(a, b)
