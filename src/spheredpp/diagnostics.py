@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harmonics import multiplicities
-from .sampler import sample_dpp
+from .sampler import draw_bernoulli_basis
 from .spectra import DSchoenbergSeq, MercerSpectrum, eval_psi_series
 from .sphere import pairwise_geodesic
 from .streams import substream
@@ -186,14 +186,19 @@ class RepulsivenessReport:
 def repulsiveness_report(model) -> RepulsivenessReport:
     """Diagnostics for a resolved model (see models.resolve).
 
-    The curvature needs the represented tail of sum l^2 beta_l below
-    1e-8; if the model's own truncation is coarser, the coefficients
+    An exact curvature in ``model.pcf_derivatives`` is used as is.
+    Otherwise the curvature needs the represented tail of sum l^2 beta_l
+    below 1e-8; if the model's own truncation is coarser, the coefficients
     are re-derived once at tail tolerance 1e-12 before flagging the
     curvature unavailable (a coarse default truncation must not
     misreport a model that satisfies the variance condition).
     """
     spec = model.kernel
-    local = local_repulsiveness(model.correlation_beta, model.pcf_slope_override)
+    slope, curvature = model.pcf_derivatives or (None, None)
+    if curvature is not None:
+        local = LocalRepulsiveness(slope, curvature)
+    else:
+        local = local_repulsiveness(model.correlation_beta, slope)
     if local.curvature is None and model.spec.trunc.tail_tol > 1e-12:
         import dataclasses
 
@@ -209,7 +214,7 @@ def repulsiveness_report(model) -> RepulsivenessReport:
         except Exception:
             fine = None
         if fine is not None:
-            local = local_repulsiveness(fine.correlation_beta, fine.pcf_slope_override)
+            local = local_repulsiveness(fine.correlation_beta, slope)
     return RepulsivenessReport(
         eta=spec.eta,
         global_index=global_repulsiveness(spec),
@@ -267,15 +272,20 @@ class ValidationReport:
 
 
 def montecarlo_validate(model, n_reps: int, seed: int) -> ValidationReport:
-    """Simulate ``n_reps`` patterns and compare count moments at 3 sigma.
+    """Check the count moments of the Bernoulli stage at 3 sigma.
 
-    Each replicate draws from an independently seeded substream
-    ('replicate:i' derived from the root seed).
+    Each replicate draws the eigenfunction basis from an independently
+    seeded substream ('replicate:i' derived from the root seed).  A full
+    sample from that substream has exactly one point per selected
+    eigenfunction, so the projection stage is not run.
     """
     if n_reps < 2:
         raise ValueError("need at least 2 replicates")
     counts = np.array(
-        [len(sample_dpp(model, substream(seed, "replicate", i)).pattern) for i in range(n_reps)],
+        [
+            len(draw_bernoulli_basis(model.kernel, substream(seed, "replicate", i)))
+            for i in range(n_reps)
+        ],
         dtype=float,
     )
 

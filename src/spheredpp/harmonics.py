@@ -13,6 +13,10 @@ the complex spherical harmonics are
     d=2:  Y_(l,k,2)(colat, lon)
             = sqrt((2l+1)/(4 pi) * (l-k)!/(l+k)!) P_l^(k)(cos colat) e^(i k lon),
           k in {-l, ..., l}.
+
+``gegenbauer_rows`` is the one Gegenbauer evaluator and ``norm_plm_table``
+the one associated-Legendre evaluator; ``sampler.ProjectionBasis.eval_matrix``
+assembles the Y above from the latter.
 """
 
 from __future__ import annotations
@@ -23,47 +27,35 @@ from math import comb, lgamma
 
 import numpy as np
 
-from .sphere import SpherePoint
-
 FOUR_PI = 4.0 * math.pi
 
 
-def gegenbauer(ell: int, lam: float, x):
-    """C_ell^(lam)(x) on [-1, 1] by the three-term recurrence.
+def gegenbauer_rows(n_max: int, lam: float, s):
+    """Yield C_l^(lam)(cos s) for l = 0..n_max, one array per level.
 
-    lam = 0 is evaluated as cos(ell * arccos x).
+    lam > 0 runs the three-term recurrence
+    l C_l = 2 (l + lam - 1) x C_(l-1) - (l + 2 lam - 2) C_(l-2) in x = cos s;
+    lam = 0 yields cos(l s).  Only the last two levels are held, so a
+    caller that reduces each level as it arrives needs O(s.size) memory.
+    The yielded arrays feed the next levels: do not modify them in place.
     """
-    if ell < 0:
-        raise ValueError("degree must be nonnegative")
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) > 1.0 + 1e-12):
-        raise ValueError("argument must lie in [-1, 1]")
-    scalar = np.ndim(x) == 0
-    arr = np.clip(np.atleast_1d(arr), -1.0, 1.0)
-    out = gegenbauer_table(ell, lam, arr)[ell]
-    return float(out[0]) if scalar else out
-
-
-def gegenbauer_table(n_max: int, lam: float, x) -> np.ndarray:
-    """All C_l^(lam)(x) for l = 0..n_max, shape (n_max+1,) + x.shape."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((n_max + 1,) + arr.shape)
+    s = np.asarray(s, dtype=float)
     if lam == 0.0:
-        s = np.arccos(np.clip(arr, -1.0, 1.0))
         for ell in range(n_max + 1):
-            out[ell] = np.cos(ell * s)
-        return out
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = 2.0 * lam * arr
-    for ell in range(2, n_max + 1):
-        out[ell] = (
-            2.0 * (ell + lam - 1.0) * arr * out[ell - 1]
-            - (ell + 2.0 * lam - 2.0) * out[ell - 2]
-        ) / ell
-    return out
+            yield np.cos(ell * s)
+        return
+    x = np.cos(s)
+    prev, cur = np.zeros_like(x), np.ones_like(x)  # C_(-1) = 0, C_0 = 1
+    for ell in range(n_max + 1):
+        if ell > 0:
+            nxt = 2.0 * (ell + lam - 1.0) * x
+            nxt *= cur
+            nxt -= (ell + 2.0 * lam - 2.0) * prev
+            nxt /= ell
+            prev, cur = cur, nxt
+        yield cur
 
 
 def gegenbauer_at_one(ell: int, lam: float) -> float:
@@ -74,73 +66,6 @@ def gegenbauer_at_one(ell: int, lam: float) -> float:
     if two_lam == int(two_lam):
         return float(comb(ell + int(two_lam) - 1, ell))
     return math.exp(lgamma(ell + two_lam) - lgamma(ell + 1) - lgamma(two_lam))
-
-
-def normalized_gegenbauer_table(n_max: int, dim: int, x) -> np.ndarray:
-    """C_l^((d-1)/2)(x) / C_l^((d-1)/2)(1) for l = 0..n_max.
-
-    These are the basis functions of the d-Schoenberg expansion:
-    cos(l s) for d=1, Legendre P_l for d=2.
-    """
-    lam = (dim - 1) / 2.0
-    table = gegenbauer_table(n_max, lam, x)
-    if lam > 0.0:
-        norms = np.array([gegenbauer_at_one(ell, lam) for ell in range(n_max + 1)])
-        table /= norms.reshape((-1,) + (1,) * (table.ndim - 1))
-    return table
-
-
-def legendre(ell: int, x):
-    """Legendre polynomial P_ell = C_ell^(1/2)."""
-    return gegenbauer(ell, 0.5, x)
-
-
-def _factorial_ratio(ell: int, m: int) -> float:
-    """(ell - m)! / (ell + m)!, in log space for ell > 30."""
-    if ell <= 30:
-        return math.factorial(ell - m) / math.factorial(ell + m)
-    return math.exp(lgamma(ell - m + 1) - lgamma(ell + m + 1))
-
-
-def assoc_legendre(ell: int, m: int, x):
-    """Associated Legendre P_ell^(m)(x) with the Condon-Shortley phase.
-
-    Computed by the stable forward recurrence in ell at fixed m, seeded
-    with P_m^(m) = (-1)^m (2m-1)!! (1-x^2)^(m/2).  Negative orders use
-    P_ell^(-m) = (-1)^m (ell-m)!/(ell+m)! P_ell^(m).
-    """
-    if abs(m) > ell:
-        raise ValueError(f"order |m| <= degree required, got m={m}, ell={ell}")
-    arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) > 1.0 + 1e-12):
-        raise ValueError("argument must lie in [-1, 1]")
-    arr = np.clip(arr, -1.0, 1.0)
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    arr = np.atleast_1d(arr)
-    if m < 0:
-        base = assoc_legendre(ell, -m, arr)
-        out = ((-1) ** (-m)) * _factorial_ratio(ell, -m) * base
-        return float(out[0]) if scalar and out.shape == (1,) else out
-
-    # P_m^m, built factor by factor to avoid a separate (2m-1)!!
-    pmm = np.ones_like(arr)
-    if m > 0:
-        sx = np.sqrt(np.maximum(0.0, 1.0 - arr * arr))
-        for k in range(1, m + 1):
-            pmm *= -(2.0 * k - 1.0) * sx
-    if ell == m:
-        out = pmm
-    else:
-        pm1 = arr * (2.0 * m + 1.0) * pmm
-        if ell == m + 1:
-            out = pm1
-        else:
-            for cur in range(m + 2, ell + 1):
-                pmm, pm1 = pm1, (
-                    arr * (2.0 * cur - 1.0) * pm1 - (cur + m - 1.0) * pmm
-                ) / (cur - m)
-            out = pm1
-    return float(out[0]) if scalar and out.shape == (1,) else out
 
 
 def multiplicity(ell: int, dim: int) -> int:
@@ -223,23 +148,6 @@ def plm_sup_sq(l_max: int) -> np.ndarray:
         prev2, prev1 = prev1, row
     safety = 1.0 / math.cos(math.pi * max(L, 1) / (2.0 * K))
     return (sup * safety) ** 2
-
-
-def spherical_harmonic(dim: int, ell: int, k: int, point: SpherePoint) -> complex:
-    """Evaluate Y_(l,k,d) at a point (d in {1, 2})."""
-    if dim != point.dim:
-        raise ValueError("point dimension does not match requested dimension")
-    if dim == 1:
-        if k not in index_set(ell, 1):
-            raise ValueError(f"order {k} not valid at level {ell} for d=1")
-        return complex(np.exp(1j * k * ell * point.theta) / math.sqrt(2.0 * math.pi))
-    if dim == 2:
-        if abs(k) > ell:
-            raise ValueError(f"order {k} not valid at level {ell} for d=2")
-        norm = math.sqrt((2.0 * ell + 1.0) / FOUR_PI * _factorial_ratio(ell, k))
-        plk = assoc_legendre(ell, k, math.cos(point.colat))
-        return complex(norm * plk * np.exp(1j * k * point.lon))
-    raise ValueError("eigenfunctions implemented for d in {1, 2} only")
 
 
 def norm_plm_table(l_max: int, x) -> np.ndarray:

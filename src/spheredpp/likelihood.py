@@ -68,6 +68,15 @@ def _chol_logdet(mat: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
+def _radial_logdet(pattern: PointPattern, radial) -> float:
+    """log det of radial(s(x_i, x_j)), evaluated once per pair on the
+    upper triangle of the distances and mirrored."""
+    upper = np.triu_indices(len(pattern))
+    mat = np.empty((len(pattern),) * 2)
+    mat[upper] = mat.T[upper] = radial(pairwise_geodesic(pattern)[upper])
+    return _chol_logdet(mat)
+
+
 def log_density(pattern: PointPattern, ctx: DensityContext) -> float:
     """log f of a point configuration; the empty pattern gives
     sigma_d - D, and infeasible configurations give -inf."""
@@ -75,12 +84,9 @@ def log_density(pattern: PointPattern, ctx: DensityContext) -> float:
         raise ValueError("pattern dimension does not match the density context")
     sigma = surface_measure(ctx.dim)
     base = sigma - ctx.log_normalizer
-    n = len(pattern)
-    if n == 0:
+    if len(pattern) == 0:
         return base
-    s = pairwise_geodesic(pattern)
-    mat = np.asarray(ctx.radial(s.ravel()), dtype=float).reshape(n, n)
-    return base + _chol_logdet(mat)
+    return base + _radial_logdet(pattern, ctx.radial)
 
 
 @dataclass(frozen=True)
@@ -111,12 +117,9 @@ class ScaledFitSpec:
 
 
 def _psi_logdet(pattern: PointPattern, spec: ScaledFitSpec) -> float:
-    n = len(pattern)
     sigma = surface_measure(spec.dim)
     beta = spec.alpha * multiplicities(len(spec.alpha) - 1, spec.dim) / sigma
-    s = pairwise_geodesic(pattern)
-    mat = np.asarray(eval_radial_series(beta, spec.dim, s.ravel()), dtype=float)
-    return _chol_logdet(mat.reshape(n, n))
+    return _radial_logdet(pattern, lambda s: eval_radial_series(beta, spec.dim, s))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -497,6 +499,33 @@ PSI_FAMILIES = ("multiquadric", "matern", "askey", "c2_wendland", "c4_wendland",
 SPECTRUM_FAMILIES = ("spectral", "most_repulsive", "circular_matern")
 ALL_FAMILIES = PSI_FAMILIES + SPECTRUM_FAMILIES
 
+# the parameters each family requires; no others are accepted
+FAMILY_PARAMS = {
+    "multiquadric": ("tau", "delta"),
+    "matern": ("nu", "c"),
+    **dict.fromkeys(COMPACT_VARIANTS, ("c",)),
+    "spectral": ("alpha", "beta", "kappa"),
+    "most_repulsive": ("eta",),
+    "circular_matern": ("sigma", "nu", "alpha"),
+}
+
+
+def _number(value, name: str) -> float:
+    """``value`` as a finite float; anything else raises ValueError naming ``name``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if real and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int (integral floats allowed); else ValueError naming ``name``."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -513,6 +542,15 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in ALL_FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; known: {ALL_FAMILIES}")
+        required = FAMILY_PARAMS[self.family]
+        for name in [*self.params, *required]:
+            if name not in required:
+                raise ValueError(f"unknown parameter {name!r} for family {self.family!r}")
+            if name not in self.params:
+                raise ValueError(f"missing parameter {name!r} for family {self.family!r}")
+        object.__setattr__(self, "params", {k: _number(v, k) for k, v in self.params.items()})
+        if _integer(self.dim, "dim") < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.mode not in ("kernel", "density"):
             raise ValueError("mode must be 'kernel' or 'density'")
         if self.family in PSI_FAMILIES:
@@ -538,7 +576,10 @@ class ModelSpec:
 
 
 def load_model(source) -> ModelSpec:
-    """Build a ModelSpec from a dict, JSON text, or a path to a JSON file."""
+    """Build a ModelSpec from a dict, JSON text, or a path to a JSON file.
+
+    Missing, unknown or non-numeric fields raise ValueError naming the field.
+    """
     if isinstance(source, ModelSpec):
         return source
     if isinstance(source, dict):
@@ -550,20 +591,36 @@ def load_model(source) -> ModelSpec:
         else:
             with open(text) as fh:
                 data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("a model must be a JSON object")
     if data.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema {data.get('schema')}")
-    trunc = TruncationPolicy(**data["trunc"]) if "trunc" in data else TruncationPolicy()
+    for name in ("family", "dim"):
+        if name not in data:
+            raise ValueError(f"missing field {name!r}")
+    dim = _integer(data["dim"], "dim")
+    params, trunc = data.get("params", {}), data.get("trunc", {})
+    for name, value in (("params", params), ("trunc", trunc)):
+        if not isinstance(value, dict):
+            raise ValueError(f"{name} must be an object, got {value!r}")
+    unknown = sorted(set(trunc) - {"max_level", "tail_tol"})
+    if unknown:
+        raise ValueError(f"unknown field 'trunc.{unknown[0]}'")
+    policy = TruncationPolicy(
+        _integer(trunc.get("max_level", TruncationPolicy.max_level), "trunc.max_level"),
+        _number(trunc.get("tail_tol", TruncationPolicy.tail_tol), "trunc.tail_tol"),
+    )
     rho = data.get("rho")
     if rho is None and "eta" in data:
-        rho = float(data["eta"]) / surface_measure(int(data["dim"]))
+        rho = _number(data["eta"], "eta") / surface_measure(dim)
     return ModelSpec(
         family=data["family"],
-        params={k: float(v) for k, v in data.get("params", {}).items()},
-        dim=int(data["dim"]),
+        params=params,
+        dim=dim,
         mode=data.get("mode", "kernel"),
-        rho=None if rho is None else float(rho),
-        chi=None if data.get("chi") is None else float(data["chi"]),
-        trunc=trunc,
+        rho=None if rho is None else _number(rho, "rho"),
+        chi=None if data.get("chi") is None else _number(data["chi"], "chi"),
+        trunc=policy,
     )
 
 
@@ -576,7 +633,8 @@ class ResolvedModel:
     correlation_beta: DSchoenbergSeq
     psi: object | None = None
     density: MercerSpectrum | None = None
-    pcf_slope_override: float | None = None
+    # exact (g_0'(0), g_0''(0)) from the closed-form psi; None where unknown
+    pcf_derivatives: tuple | None = None
 
     @property
     def dim(self) -> int:
@@ -588,16 +646,19 @@ class ResolvedModel:
 
 
 def _psi_family_beta(spec: ModelSpec):
-    """(psi, beta_d, slope_override) for the closed-form psi families."""
+    """(psi, beta_d, pcf_derivatives) for the closed-form psi families."""
     p = spec.params
     if spec.family == "multiquadric":
         tau, delta = p["tau"], p["delta"]
         beta_d = multiquadric_d_schoenberg(tau, delta, spec.dim, spec.trunc)
-        return multiquadric_psi(tau, delta), beta_d, None
+        # kernel mode: g_0 = 1 - psi^2 with psi(0) = 1 and psi'(0) = 0, so
+        # g_0'(0) = 0 and g_0''(0) = -2 psi''(0) = 4 tau delta / (1 - delta)^2
+        exact = (0.0, 4.0 * tau * delta / (1.0 - delta) ** 2) if spec.mode == "kernel" else None
+        return multiquadric_psi(tau, delta), beta_d, exact
     if spec.family == "matern":
         nu, c = p["nu"], p["c"]
         beta_d = matern_d_schoenberg(nu, c, spec.dim, n_max=min(spec.trunc.max_level, 512))
-        return matern_psi(nu, c), beta_d, matern_pcf_slope(nu, c)
+        return matern_psi(nu, c), beta_d, (matern_pcf_slope(nu, c), None)
     # compactly supported families are implemented on the circle
     if spec.dim != 1:
         raise ValueError(f"{spec.family} coefficients are implemented for d=1 only")
@@ -615,21 +676,21 @@ def resolve(spec: ModelSpec) -> ResolvedModel:
     """
     sigma = surface_measure(spec.dim)
     if spec.family in PSI_FAMILIES:
-        psi, beta_d, slope = _psi_family_beta(spec)
+        psi, beta_d, exact = _psi_family_beta(spec)
         if spec.mode == "kernel":
             eta = spec.rho * sigma
             kernel = mercer_from_d(beta_d, eta)
             density = None
             if np.all(kernel.values < 1.0):
                 density = to_density_kernel(kernel)
-            return ResolvedModel(spec, kernel, beta_d, psi, density, slope)
+            return ResolvedModel(spec, kernel, beta_d, psi, density, exact)
         alpha = correlation_mercer(beta_d)
         density = MercerSpectrum(
             spec.dim, "density-kernel", spec.chi * alpha.values, alpha.tail_bound
         )
         kernel = from_density_kernel(density)
         return ResolvedModel(
-            spec, kernel, beta_from_kernel(kernel), psi, density, slope
+            spec, kernel, beta_from_kernel(kernel), psi, density, exact
         )
 
     if spec.family == "spectral":

@@ -26,12 +26,7 @@ from math import comb, lgamma
 import numpy as np
 from scipy.special import roots_legendre
 
-from .harmonics import (
-    gegenbauer_table,
-    multiplicities,
-    multiplicity,
-    normalized_gegenbauer_table,
-)
+from .harmonics import gegenbauer_at_one, gegenbauer_rows, multiplicities, multiplicity
 from .sphere import surface_measure
 
 
@@ -332,10 +327,12 @@ def d_schoenberg_from_psi(
 
     d=1 uses the cosine transform
         beta_(0,1) = (1/pi) int psi,  beta_(l,1) = (2/pi) int cos(l s) psi(s) ds;
-    d>=2 uses the Gegenbauer inversion with the sin^(d-1) weight.  The
-    integrals run in the s variable, where every integrand is smooth
-    (on x = cos s the d=1 transform has an endpoint singularity and odd
-    d picks up sqrt factors).  psi must accept numpy arrays.
+    d>=2 uses the Gegenbauer inversion with the sin^(d-1) weight.  Both
+    reduce each level of ``gegenbauer_rows`` against psi sin^(d-1) w as it
+    is produced and differ only in the prefactor.  The integrals run in
+    the s variable, where every integrand is smooth (on x = cos s the d=1
+    transform has an endpoint singularity and odd d picks up sqrt
+    factors).  psi must accept numpy arrays.
 
     Coefficients below -1e-8 mean psi is not a valid correlation on S^d
     and raise; values in [-1e-8, 0) are treated as roundoff and clamped.
@@ -344,23 +341,16 @@ def d_schoenberg_from_psi(
     edges = [0.0] + splits + [math.pi]
     panels = list(zip(edges[:-1], edges[1:]))
 
+    lam = (dim - 1) / 2.0
     if dim == 1:
-
-        def values_fn(s, w):
-            ps = psi(s) * w
-            ells = np.arange(n_max + 1)
-            coefs = np.cos(np.outer(ells, s)) @ ps
-            coefs *= 2.0 / math.pi
-            coefs[0] *= 0.5
-            return coefs
-
+        pref = np.full(n_max + 1, 2.0 / math.pi)
+        pref[0] = 1.0 / math.pi
     else:
         pref = np.array([_inversion_prefactor(ell, dim) for ell in range(n_max + 1)])
 
-        def values_fn(s, w):
-            table = gegenbauer_table(n_max, (dim - 1) / 2.0, np.cos(s))
-            ps = psi(s) * np.sin(s) ** (dim - 1) * w
-            return pref * (table @ ps)
+    def values_fn(s, w):
+        ps = psi(s) * np.sin(s) ** (dim - 1) * w
+        return pref * np.array([row @ ps for row in gegenbauer_rows(n_max, lam, s)])
 
     coefs = _integrate_levels(values_fn, n_max, panels, quad)
     if np.any(coefs < -1e-8):
@@ -479,11 +469,18 @@ def from_density_kernel(spec: MercerSpectrum) -> MercerSpectrum:
 
 
 def eval_radial_series(coeffs, dim: int, s):
-    """sum_l c_l * C_l^((d-1)/2)(cos s) / C_l^((d-1)/2)(1) at geodesic distances s."""
+    """sum_l c_l * C_l^((d-1)/2)(cos s) / C_l^((d-1)/2)(1) at geodesic distances s.
+
+    Each level is added as the Gegenbauer recurrence produces it, so
+    memory stays O(s.size) whatever the number of levels.
+    """
     coeffs = np.asarray(coeffs, dtype=float)
     arr = np.atleast_1d(np.asarray(s, dtype=float))
-    table = normalized_gegenbauer_table(len(coeffs) - 1, dim, np.cos(arr))
-    out = np.tensordot(coeffs, table, axes=(0, 0))
+    lam = (dim - 1) / 2.0
+    out = np.zeros_like(arr)
+    rows = gegenbauer_rows(len(coeffs) - 1, lam, arr)
+    for ell, (c, row) in enumerate(zip(coeffs, rows)):
+        out += (c / gegenbauer_at_one(ell, lam)) * row
     return float(out[0]) if np.ndim(s) == 0 else out
 
 

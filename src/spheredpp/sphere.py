@@ -27,7 +27,10 @@ def surface_measure(dim: int) -> float:
     """Total surface measure sigma_d = 2 pi^((d+1)/2) / Gamma((d+1)/2)."""
     if dim < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {dim}")
-    return 2.0 * math.pi ** ((dim + 1) / 2.0) / math.gamma((dim + 1) / 2.0)
+    try:
+        return 2.0 * math.pi ** ((dim + 1) / 2.0) / math.gamma((dim + 1) / 2.0)
+    except OverflowError:
+        raise ValueError(f"sphere dimension {dim} is too large") from None
 
 
 @dataclass(frozen=True)

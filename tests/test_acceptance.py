@@ -8,6 +8,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import eval_legendre
 
 from spheredpp.diagnostics import (
     eta_times_global_repulsiveness,
@@ -16,14 +17,7 @@ from spheredpp.diagnostics import (
     montecarlo_validate,
     pcf,
 )
-from spheredpp.harmonics import (
-    gegenbauer,
-    index_set,
-    multiplicity,
-    norm_plm_table,
-    sh_bound_sq,
-    spherical_harmonic,
-)
+from spheredpp.harmonics import index_set, multiplicity, norm_plm_table, sh_bound_sq
 from spheredpp.likelihood import ScaledFitSpec, loglik_score_info, newton_mle
 from spheredpp.models import (
     ModelSpec,
@@ -33,7 +27,7 @@ from spheredpp.models import (
     multiquadric_psi,
     resolve,
 )
-from spheredpp.sampler import sample_dpp
+from spheredpp.sampler import ProjectionBasis, sample_dpp
 from spheredpp.spectra import (
     MercerSpectrum,
     SchoenbergSeq,
@@ -251,13 +245,12 @@ def test_criterion_10_harmonics_suites():
             ell = int(rng.integers(0, 21))
             p = sample_uniform(2, rng)
             q = sample_uniform(2, rng)
-            total = sum(
-                spherical_harmonic(2, ell, k, p)
-                * np.conj(spherical_harmonic(2, ell, k, q))
-                for k in index_set(ell, 2)
-            )
+            ks = np.array(index_set(ell, 2))
+            level = ProjectionBasis(2, np.full(len(ks), ell), ks, np.zeros(len(ks)))
+            vals = level.eval_matrix(np.array([p.angles, q.angles]))
+            total = np.sum(vals[0] * np.conj(vals[1]))
             s = math.acos(np.clip(np.dot(p.vector, q.vector), -1, 1))
-            target = (2 * ell + 1) / (4 * math.pi) * gegenbauer(ell, 0.5, math.cos(s))
+            target = (2 * ell + 1) / (4 * math.pi) * eval_legendre(ell, math.cos(s))
             assert abs(total - target) <= 1e-10
         # orthonormality via product quadrature (l, l' <= 10, both d)
         from scipy.special import roots_legendre

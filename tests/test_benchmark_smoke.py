@@ -1,0 +1,30 @@
+"""Smoke runs of the benchmark harness in perfbench/.
+
+The harness wraps package functions from outside (``perfbench/layers.py``
+reads ``ProjectionBasis.envelope`` and the positional arguments of
+``eval_radial_series`` and ``norm_plm_table``), so a change to those names
+or signatures breaks it without breaking any package test.  Each run is a
+one-second traced run; no timing is checked.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("workload", ["fit", "cli"])
+def test_traced_run(workload):
+    cmd = [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", workload,
+           "--seed", "1", "--seconds", "1", "--trace", "1"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    missing = [name for name, metric in result["metrics"].items() if metric.get("missing")]
+    assert missing == []

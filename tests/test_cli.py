@@ -182,3 +182,35 @@ class TestExitCodes:
         assert run(["repulsiveness", "--model", str(proj9_model)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["eta_times_I"] == 1.0
+
+
+class TestModelValidation:
+    MQ = {"family": "multiquadric", "params": {"tau": 1.0, "delta": 0.5}, "dim": 2, "eta": 10.0}
+
+    def _run(self, tmp_path, capsys, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code = run(["repulsiveness", "--model", str(path)])
+        return code, capsys.readouterr().err
+
+    def test_unknown_parameter(self, tmp_path, capsys):
+        data = dict(self.MQ, params={"tau": 1.0, "delta": 0.5, "typo": 3})
+        code, err = self._run(tmp_path, capsys, data)
+        assert code == 1
+        assert "typo" in err
+
+    def test_missing_parameter(self, tmp_path, capsys):
+        code, err = self._run(tmp_path, capsys, dict(self.MQ, params={"tau": 1.0}))
+        assert code == 1
+        assert "missing parameter 'delta'" in err
+
+    def test_missing_dim(self, tmp_path, capsys):
+        data = {k: v for k, v in self.MQ.items() if k != "dim"}
+        code, err = self._run(tmp_path, capsys, data)
+        assert code == 1
+        assert "missing field 'dim'" in err
+
+    def test_non_numeric_parameter(self, tmp_path, capsys):
+        code, err = self._run(tmp_path, capsys, dict(self.MQ, params={"tau": "ten", "delta": 0.5}))
+        assert code == 1
+        assert "tau must be a finite number" in err

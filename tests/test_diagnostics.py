@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +27,9 @@ from spheredpp.spectra import (
     beta_from_kernel,
     eval_psi_series,
 )
+from spheredpp.sampler import sample_dpp
 from spheredpp.sphere import PointPattern, sample_uniform
+from spheredpp.streams import substream
 
 
 class TestJointIntensity:
@@ -181,6 +184,36 @@ class TestReport:
         report = repulsiveness_report(model)
         assert report.curvature == pytest.approx(2 * 0.5 / 0.25, rel=1e-6)
 
+    def test_report_refines_density_mode(self):
+        # density mode has no closed-form curvature: the report re-derives
+        # the coefficients and matches a second difference of the finely
+        # truncated model's pcf
+        from spheredpp.spectra import TruncationPolicy
+
+        spec = ModelSpec("multiquadric", {"tau": 0.5, "delta": 0.5}, 2, "density", chi=2.0)
+        report = repulsiveness_report(resolve(spec))
+        fine = resolve(dataclasses.replace(spec, trunc=TruncationPolicy(tail_tol=1e-12)))
+        h = 1e-3
+        g = pcf(fine, np.array([-h, 0.0, h]))
+        assert report.slope == 0.0
+        assert report.curvature == pytest.approx((g[0] - 2 * g[1] + g[2]) / h**2, rel=1e-3)
+
+    def test_multiquadric_exact_curvature_mq1_400(self):
+        # tau = 1, eta_max = 400: the 1e-12 re-resolve reaches the quadrature
+        # round-off floor, so the curvature comes from psi in closed form
+        tau, delta = 1.0, 0.9654362879120054
+        model = resolve(
+            ModelSpec(
+                "multiquadric", {"tau": tau, "delta": delta}, 2, "kernel",
+                rho=400.0 / (4 * math.pi),
+            )
+        )
+        report = repulsiveness_report(model)
+        assert report.slope == 0.0
+        exact = 4 * tau * delta / (1 - delta) ** 2
+        assert report.curvature == pytest.approx(exact, rel=1e-6)
+        assert exact == pytest.approx(3232.5, rel=1e-4)
+
     def test_matern_slope_passthrough(self):
         model = resolve(
             ModelSpec("matern", {"nu": 0.5, "c": 0.5}, 1, "kernel", rho=0.2)
@@ -201,6 +234,17 @@ class TestMonteCarloValidation:
         assert report.mean_count == 9.0
         assert report.var_count == 0.0
         assert report.passed
+
+    def test_counts_match_full_samples(self):
+        # the projection stage places one point per selected eigenfunction,
+        # so the basis draw alone gives the count of the full sample
+        model = resolve(ModelSpec("spectral", {"alpha": 3.0, "beta": 1.0, "kappa": 2.0}, 2))
+        report = montecarlo_validate(model, 12, seed=4)
+        counts = [
+            len(sample_dpp(model, substream(4, "replicate", i)).pattern) for i in range(12)
+        ]
+        assert report.mean_count == np.mean(counts)
+        assert report.var_count == np.var(counts, ddof=1)
 
     def test_truncation_mean_below_eta(self):
         spec = ModelSpec(

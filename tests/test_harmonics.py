@@ -2,104 +2,154 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import eval_gegenbauer, lpmv
+from scipy.special import eval_gegenbauer, eval_legendre, lpmv, sph_harm_y
 
 from spheredpp.harmonics import (
-    assoc_legendre,
-    gegenbauer,
     gegenbauer_at_one,
+    gegenbauer_rows,
     index_set,
     multiplicity,
     norm_plm_table,
-    normalized_gegenbauer_table,
     sh_bound_sq,
-    spherical_harmonic,
 )
-from spheredpp.sphere import SpherePoint, sample_uniform
+from spheredpp.sampler import ProjectionBasis
+from spheredpp.sphere import sample_uniform_angles
 
 FOUR_PI = 4 * math.pi
+
+
+def rows(n_max, lam, s):
+    return np.array(list(gegenbauer_rows(n_max, lam, s)))
+
+
+def basis(dim, pairs):
+    """Projection basis over explicit (level, order) pairs."""
+    levels = np.array([p[0] for p in pairs], dtype=int)
+    orders = np.array([p[1] for p in pairs], dtype=int)
+    return ProjectionBasis(dim, levels, orders, np.zeros(len(pairs)))
+
+
+def full_basis(dim, lmax):
+    return basis(dim, [(ell, k) for ell in range(lmax + 1) for k in index_set(ell, dim)])
+
+
+def s2_point(rng):
+    return sample_uniform_angles(2, 1, rng)
+
+
+def geodesic(p, q):
+    """Great-circle distance between two (1, 2) colat/lon rows."""
+    (t1, l1), (t2, l2) = p[0], q[0]
+    c = math.cos(t1) * math.cos(t2) + math.sin(t1) * math.sin(t2) * math.cos(l1 - l2)
+    return math.acos(min(1.0, max(-1.0, c)))
 
 
 class TestGegenbauer:
     def test_legendre_special_case(self):
         # C_2^(1/2) is the Legendre polynomial (3x^2 - 1)/2
         x = np.linspace(-1, 1, 11)
-        np.testing.assert_allclose(gegenbauer(2, 0.5, x), (3 * x**2 - 1) / 2, atol=1e-14)
-        assert gegenbauer(2, 0.5, 1.0) == 1.0
+        np.testing.assert_allclose(
+            rows(2, 0.5, np.arccos(x))[2], (3 * x**2 - 1) / 2, atol=1e-14
+        )
+        assert rows(2, 0.5, 0.0)[2] == 1.0
 
     def test_value_at_one_lam1(self):
         # lam = (d-1)/2 with d=3: C_2^(1)(1) = binom(3, 2) = 3
-        assert gegenbauer(2, 1.0, 1.0) == 3.0
+        assert rows(2, 1.0, 0.0)[2] == 3.0
 
     def test_lam0_is_cosine(self):
         s = 0.77
-        for ell in range(6):
-            assert gegenbauer(ell, 0.0, math.cos(s)) == pytest.approx(
-                math.cos(ell * s), abs=1e-13
-            )
+        for ell, row in enumerate(gegenbauer_rows(5, 0.0, s)):
+            assert row == pytest.approx(math.cos(ell * s), abs=1e-13)
 
     def test_against_scipy(self):
-        x = np.linspace(-0.99, 0.99, 21)
+        s = np.arccos(np.linspace(-0.99, 0.99, 21))
         for lam in (0.5, 1.0, 1.5, 2.0):
+            table = rows(20, lam, s)
             for ell in (0, 1, 3, 7, 20):
                 np.testing.assert_allclose(
-                    gegenbauer(ell, lam, x),
-                    eval_gegenbauer(ell, lam, x),
+                    table[ell],
+                    eval_gegenbauer(ell, lam, np.cos(s)),
                     rtol=1e-10,
                     atol=1e-12,
                 )
+        np.testing.assert_allclose(
+            rows(40, 0.5, s), [eval_legendre(ell, np.cos(s)) for ell in range(41)],
+            rtol=1e-10, atol=1e-12,
+        )
 
     def test_generating_function(self):
         # sum_l r^l C_l^(lam)(cos s) = (1 + r^2 - 2 r cos s)^(-lam)
         r, lam, s = 0.3, 1.0, 1.0
-        total = sum(r**ell * gegenbauer(ell, lam, math.cos(s)) for ell in range(61))
+        total = sum(r**ell * row for ell, row in enumerate(gegenbauer_rows(60, lam, s)))
         target = (1 + r * r - 2 * r * math.cos(s)) ** (-lam)
         assert total == pytest.approx(target, abs=1e-10)
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 1.5, 2.0])
     def test_endpoints_exact_up_to_100(self, lam):
-        for ell in range(101):
+        # s = 0 and s = pi are x = 1 and x = -1
+        for ell, row in enumerate(gegenbauer_rows(100, lam, [0.0, math.pi])):
             expected = gegenbauer_at_one(ell, lam)
-            assert gegenbauer(ell, lam, 1.0) == expected
-            assert gegenbauer(ell, lam, -1.0) == (-1) ** ell * expected
+            assert row[0] == expected
+            assert row[1] == (-1) ** ell * expected
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            gegenbauer(2, 1.0, 1.5)
+            next(gegenbauer_rows(2, -0.5, 0.3))
 
     def test_normalized_table_bounded(self):
-        x = np.linspace(-1, 1, 200)
+        s = np.linspace(0, math.pi, 200)
         for dim in (1, 2, 3):
-            table = normalized_gegenbauer_table(40, dim, x)
-            assert np.max(np.abs(table)) <= 1.0 + 1e-12
+            lam = (dim - 1) / 2
+            for ell, row in enumerate(gegenbauer_rows(40, lam, s)):
+                assert np.max(np.abs(row / gegenbauer_at_one(ell, lam))) <= 1.0 + 1e-12
+
+
+def plm_norm(ell, m):
+    """sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!) for m >= 0."""
+    return math.sqrt(
+        (2 * ell + 1) / FOUR_PI * math.exp(math.lgamma(ell - m + 1) - math.lgamma(ell + m + 1))
+    )
 
 
 class TestAssocLegendre:
+    # norm_plm_table is the one associated-Legendre evaluator; entries are
+    # the fully normalized P_l^(m), with the Condon-Shortley phase
     def test_p0(self):
         x = np.linspace(-1, 1, 7)
-        np.testing.assert_allclose(assoc_legendre(0, 0, x), np.ones_like(x))
+        np.testing.assert_allclose(norm_plm_table(0, x)[0, 0] / plm_norm(0, 0), np.ones_like(x))
 
     def test_p1_order1(self):
         x = np.linspace(-1, 1, 7)
-        np.testing.assert_allclose(assoc_legendre(1, 1, x), -np.sqrt(1 - x**2), atol=1e-15)
+        np.testing.assert_allclose(
+            norm_plm_table(1, x)[1, 1] / plm_norm(1, 1), -np.sqrt(1 - x**2), atol=1e-15
+        )
 
     def test_negative_order_relation(self):
-        x = 0.37
-        assert assoc_legendre(1, -1, x) == pytest.approx(
-            -0.5 * assoc_legendre(1, 1, x), abs=1e-15
-        )
+        # P_l^(-m) = (-1)^m (l-m)!/(l+m)! P_l^(m), i.e. Y_(l,-m) = (-1)^m conj(Y_(l,m))
+        rng = np.random.default_rng(10)
+        angles = sample_uniform_angles(2, 20, rng)
+        for ell in (1, 2, 5, 12):
+            for m in range(1, ell + 1):
+                vals = basis(2, [(ell, m), (ell, -m)]).eval_matrix(angles)
+                np.testing.assert_allclose(
+                    vals[:, 1], (-1) ** m * np.conj(vals[:, 0]), atol=1e-15
+                )
 
     def test_against_scipy(self):
         x = np.linspace(-0.95, 0.95, 13)
+        table = norm_plm_table(40, x)
         for ell in (0, 1, 2, 5, 12, 40):
-            for m in range(-ell, ell + 1, max(1, ell // 3)):
+            for m in range(0, ell + 1, max(1, ell // 3)):
                 np.testing.assert_allclose(
-                    assoc_legendre(ell, m, x), lpmv(m, ell, x), rtol=1e-9, atol=1e-12
+                    table[ell, m], plm_norm(ell, m) * lpmv(m, ell, x), rtol=1e-9, atol=1e-12
                 )
 
     def test_order_out_of_range(self):
-        with pytest.raises(ValueError):
-            assoc_legendre(2, 3, 0.0)
+        # orders above the degree have no P_l^(m): the table holds zeros there
+        table = norm_plm_table(6, np.linspace(-1, 1, 9))
+        for ell in range(7):
+            assert np.all(table[ell, ell + 1:] == 0.0)
 
 
 class TestMultiplicity:
@@ -124,25 +174,19 @@ class TestMultiplicity:
 
 
 class TestSphericalHarmonics:
+    # ProjectionBasis.eval_matrix is the spherical-harmonic evaluator
     def test_y00(self):
-        p = SpherePoint.s2(0.7, 1.1)
-        assert spherical_harmonic(2, 0, 0, p) == pytest.approx(
-            1 / math.sqrt(FOUR_PI), abs=1e-14
-        )
+        val = basis(2, [(0, 0)]).eval_matrix(np.array([[0.7, 1.1]]))[0, 0]
+        assert val == pytest.approx(1 / math.sqrt(FOUR_PI), abs=1e-14)
 
     def test_level1_magnitude_sum(self):
         rng = np.random.default_rng(11)
-        for _ in range(10):
-            p = sample_uniform(2, rng)
-            total = sum(abs(spherical_harmonic(2, 1, k, p)) ** 2 for k in (-1, 0, 1))
-            assert total == pytest.approx(3 / FOUR_PI, abs=1e-12)
+        vals = basis(2, [(1, -1), (1, 0), (1, 1)]).eval_matrix(sample_uniform_angles(2, 10, rng))
+        np.testing.assert_allclose(np.sum(np.abs(vals) ** 2, axis=1), 3 / FOUR_PI, atol=1e-12)
 
     def test_d1_fourier(self):
-        p = SpherePoint.circle(0.9)
-        val = spherical_harmonic(1, 3, 1, p)
-        assert val == pytest.approx(
-            np.exp(3j * 0.9) / math.sqrt(2 * math.pi), abs=1e-14
-        )
+        val = basis(1, [(3, 1)]).eval_matrix(np.array([[0.9]]))[0, 0]
+        assert val == pytest.approx(np.exp(3j * 0.9) / math.sqrt(2 * math.pi), abs=1e-14)
 
     def test_d3_unsupported(self):
         with pytest.raises(ValueError):
@@ -154,9 +198,8 @@ class TestSphericalHarmonics:
             ell = int(rng.integers(0, 15))
             k = int(rng.integers(-ell, ell + 1)) if ell else 0
             bound = sh_bound_sq(2, ell, k)
-            pts = [sample_uniform(2, rng) for _ in range(40)]
-            for p in pts:
-                assert abs(spherical_harmonic(2, ell, k, p)) ** 2 <= bound * (1 + 1e-12)
+            vals = basis(2, [(ell, k)]).eval_matrix(sample_uniform_angles(2, 40, rng))
+            assert np.all(np.abs(vals) ** 2 <= bound * (1 + 1e-12))
 
     def test_certified_plm_sup_bounds(self):
         # the cached per-index sups dominate |Y|^2 at random points and
@@ -168,27 +211,21 @@ class TestSphericalHarmonics:
         for _ in range(300):
             ell = int(rng.integers(0, 13))
             k = int(rng.integers(-ell, ell + 1)) if ell else 0
-            p = sample_uniform(2, rng)
-            val = abs(spherical_harmonic(2, ell, k, p)) ** 2
+            val = abs(basis(2, [(ell, k)]).eval_matrix(s2_point(rng))[0, 0]) ** 2
             assert val <= sup[ell, abs(k)] * (1 + 1e-12)
         # sectoral sup is much smaller than the level bound for large l
         assert sup[12, 12] < 0.5 * sh_bound_sq(2, 12, 12)
 
     def test_norm_plm_matches_scalar(self):
+        # every Y_(l,k,2) with l <= 40 against scipy's scalar evaluator
         rng = np.random.default_rng(13)
-        x = rng.uniform(-1, 1, size=4)
-        table = norm_plm_table(6, x)
-        for ell in range(7):
-            for m in range(ell + 1):
-                norm = math.sqrt(
-                    (2 * ell + 1)
-                    / FOUR_PI
-                    * math.factorial(ell - m)
-                    / math.factorial(ell + m)
-                )
-                np.testing.assert_allclose(
-                    table[ell, m], norm * assoc_legendre(ell, m, x), atol=1e-12
-                )
+        angles = sample_uniform_angles(2, 6, rng)
+        full = full_basis(2, 40)
+        vals = full.eval_matrix(angles)
+        ref = sph_harm_y(
+            full.levels[None, :], full.orders[None, :], angles[:, :1], angles[:, 1:]
+        )
+        np.testing.assert_allclose(vals, ref, atol=1e-12)
 
 
 class TestAdditionFormula:
@@ -196,31 +233,21 @@ class TestAdditionFormula:
         rng = np.random.default_rng(14)
         for _ in range(100):
             ell = int(rng.integers(0, 21))
-            p = sample_uniform(2, rng)
-            q = sample_uniform(2, rng)
-            total = sum(
-                spherical_harmonic(2, ell, k, p)
-                * np.conj(spherical_harmonic(2, ell, k, q))
-                for k in index_set(ell, 2)
-            )
-            s = math.acos(np.clip(np.dot(p.vector, q.vector), -1, 1))
-            target = (2 * ell + 1) / FOUR_PI * gegenbauer(ell, 0.5, math.cos(s))
+            p, q = s2_point(rng), s2_point(rng)
+            level = basis(2, [(ell, k) for k in index_set(ell, 2)])
+            total = np.sum(level.eval_matrix(p)[0] * np.conj(level.eval_matrix(q)[0]))
+            target = (2 * ell + 1) / FOUR_PI * eval_legendre(ell, math.cos(geodesic(p, q)))
             assert abs(total - target) <= 1e-10
 
     def test_d1(self):
         rng = np.random.default_rng(15)
         for _ in range(50):
             ell = int(rng.integers(0, 21))
-            p = sample_uniform(1, rng)
-            q = sample_uniform(1, rng)
-            total = sum(
-                spherical_harmonic(1, ell, k, p)
-                * np.conj(spherical_harmonic(1, ell, k, q))
-                for k in index_set(ell, 1)
-            )
-            s = math.acos(np.clip(np.dot(p.vector, q.vector), -1, 1))
+            p, q = sample_uniform_angles(1, 2, rng)
+            level = basis(1, [(ell, k) for k in index_set(ell, 1)])
+            total = np.sum(level.eval_matrix(p[None])[0] * np.conj(level.eval_matrix(q[None])[0]))
             m = multiplicity(ell, 1)
-            target = m / (2 * math.pi) * math.cos(ell * s)
+            target = m / (2 * math.pi) * math.cos(ell * (p[0] - q[0]))
             assert abs(total - target) <= 1e-10
 
 
@@ -229,39 +256,18 @@ class TestOrthonormality:
         # product Gauss-Legendre in cos(colat) x uniform trapezoid in lon
         from scipy.special import roots_legendre
 
-        lmax = 10
         nodes_x, w_x = roots_legendre(64)
         n_phi = 64
         phi = 2 * math.pi * np.arange(n_phi) / n_phi
-        w_phi = 2 * math.pi / n_phi
-        colat = np.arccos(nodes_x)
-        funcs = []
-        for ell in range(lmax + 1):
-            for k in index_set(ell, 2):
-                vals = np.array(
-                    [
-                        [
-                            spherical_harmonic(2, ell, k, SpherePoint.s2(t, p))
-                            for p in phi
-                        ]
-                        for t in colat
-                    ]
-                )
-                funcs.append(vals.ravel())
-        weights = np.outer(w_x, np.full(n_phi, w_phi)).ravel()
-        mat = np.array(funcs)
+        colat, lon = np.meshgrid(np.arccos(nodes_x), phi, indexing="ij")
+        mat = full_basis(2, 10).eval_matrix(np.column_stack([colat.ravel(), lon.ravel()])).T
+        weights = np.outer(w_x, np.full(n_phi, 2 * math.pi / n_phi)).ravel()
         gram = (mat * weights) @ mat.conj().T
-        np.testing.assert_allclose(gram, np.eye(len(funcs)), atol=1e-8)
+        np.testing.assert_allclose(gram, np.eye(len(mat)), atol=1e-8)
 
     def test_d1_quadrature(self):
-        lmax = 10
         n = 256
         theta = 2 * math.pi * np.arange(n) / n
-        w = 2 * math.pi / n
-        funcs = []
-        for ell in range(lmax + 1):
-            for k in index_set(ell, 1):
-                funcs.append(np.exp(1j * k * ell * theta) / math.sqrt(2 * math.pi))
-        mat = np.array(funcs)
-        gram = (mat * w) @ mat.conj().T
-        np.testing.assert_allclose(gram, np.eye(len(funcs)), atol=1e-10)
+        mat = full_basis(1, 10).eval_matrix(theta[:, None]).T
+        gram = (mat * (2 * math.pi / n)) @ mat.conj().T
+        np.testing.assert_allclose(gram, np.eye(len(mat)), atol=1e-10)

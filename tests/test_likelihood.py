@@ -14,11 +14,13 @@ from spheredpp.models import ModelSpec, resolve
 from spheredpp.sampler import sample_dpp
 from spheredpp.spectra import (
     MercerSpectrum,
+    beta_from_kernel,
     correlation_mercer,
+    eval_radial_series,
     from_density_kernel,
     to_density_kernel,
 )
-from spheredpp.sphere import PointPattern, sample_uniform, surface_measure
+from spheredpp.sphere import PointPattern, pairwise_geodesic, sample_uniform, surface_measure
 
 
 def uniform_pattern(dim, n, seed):
@@ -68,6 +70,26 @@ class TestLogDensity:
             for drop in range(6):
                 sub = PointPattern(2, pts[:drop] + pts[drop + 1 :])
                 assert math.isfinite(log_density(sub, ctx))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_full_matrix_determinant(self, dim):
+        # the upper-triangle evaluation gives the determinant of the full
+        # matrix C~_0(s(x_i, x_j)), for log_density and the fit likelihood
+        kernel = MercerSpectrum(dim, "kernel", [0.5, 0.4, 0.3, 0.2, 0.1])
+        ctx = DensityContext.from_kernel(kernel)
+        pat = uniform_pattern(dim, 6, 21)
+        s = pairwise_geodesic(pat)
+        sign, logdet = np.linalg.slogdet(ctx.radial(s))
+        assert sign == 1.0
+        expected = surface_measure(dim) - ctx.log_normalizer + logdet
+        assert log_density(pat, ctx) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        spec = ScaledFitSpec(dim, correlation_mercer(beta_from_kernel(kernel)).values, chi=1.0)
+        beta = spec.alpha * kernel.mults / surface_measure(dim)
+        m = kernel.mults
+        expected = np.linalg.slogdet(eval_radial_series(beta, dim, s))[1] - float(
+            np.sum(m * np.log1p(spec.alpha))
+        )
+        assert loglik_score_info(pat, spec).loglik == pytest.approx(expected, rel=1e-12)
 
     def test_kernel_roundtrip_exact(self):
         kernel = MercerSpectrum(1, "kernel", [0.9, 0.4, 0.1])

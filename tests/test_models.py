@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spheredpp.diagnostics import local_repulsiveness
 from spheredpp.models import (
+    FAMILY_PARAMS,
     ModelSpec,
     TruncationError,
     circular_matern_spectrum,
@@ -339,3 +342,60 @@ class TestModelSpecResolution:
         spec = ModelSpec(family="askey", params={"c": 1.0}, dim=2, rho=0.01)
         with pytest.raises(ValueError):
             resolve(spec)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+FIELDS = ["schema", "family", "params", "dim", "mode", "rho", "eta", "chi", "trunc"]
+
+
+@st.composite
+def model_objects(draw):
+    """A well-formed model object with up to three fields dropped, replaced
+    by arbitrary JSON, or added; so every check in load_model is reached."""
+    family = draw(st.sampled_from(sorted(FAMILY_PARAMS)))
+    params = {name: draw(st.floats(0.01, 5.0)) for name in FAMILY_PARAMS[family]}
+    data = {
+        "schema": 1,
+        "family": family,
+        "params": params,
+        "dim": draw(st.integers(1, 3)),
+        "mode": draw(st.sampled_from(["kernel", "density"])),
+        draw(st.sampled_from(["rho", "eta"])): draw(st.floats(0.01, 5.0)),
+        "chi": draw(st.floats(0.01, 5.0)),
+        "trunc": {"max_level": draw(st.integers(0, 100)), "tail_tol": draw(st.floats(1e-9, 1e-3))},
+    }
+    keys = FIELDS + [f"params.{name}" for name in FAMILY_PARAMS[family]]
+    keys += ["params.typo", "trunc.max_level", "trunc.tail_tol", "trunc.typo", "extra"]
+    for key in draw(st.lists(st.sampled_from(keys), max_size=3)):
+        owner, name = data, key
+        head, _, tail = key.partition(".")
+        if tail and head in ("params", "trunc") and isinstance(data.get(head), dict):
+            owner, name = data[head], tail
+        if draw(st.booleans()):
+            owner.pop(name, None)
+        else:
+            owner[name] = draw(JSON_VALUES)
+    return data
+
+
+MODEL_OBJECTS = model_objects() | st.dictionaries(st.text(max_size=5), JSON_VALUES, max_size=5)
+
+
+class TestLoadModelFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(MODEL_OBJECTS)
+    def test_spec_or_value_error(self, data):
+        # any JSON object gives a ModelSpec or a ValueError, never KeyError,
+        # TypeError or another exception type
+        try:
+            spec = load_model(data)
+        except ValueError:
+            return
+        assert isinstance(spec, ModelSpec)
+        assert set(spec.params) == set(FAMILY_PARAMS[spec.family])
+        assert all(math.isfinite(v) for v in spec.params.values())
