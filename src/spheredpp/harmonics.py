@@ -14,9 +14,10 @@ the complex spherical harmonics are
             = sqrt((2l+1)/(4 pi) * (l-k)!/(l+k)!) P_l^(k)(cos colat) e^(i k lon),
           k in {-l, ..., l}.
 
-``gegenbauer_rows`` is the one Gegenbauer evaluator and ``norm_plm_table``
-the one associated-Legendre evaluator; ``sampler.ProjectionBasis.eval_matrix``
-assembles the Y above from the latter.
+``gegenbauer_rows`` is the one Gegenbauer evaluator.  The normalized
+associated-Legendre recurrence runs as a whole table (``norm_plm_table``,
+from which ``sampler.ProjectionBasis.eval_matrix`` assembles the Y above) or
+per (l, m) entry (``plm_sq``, for the sampler's colatitude draws).
 """
 
 from __future__ import annotations
@@ -121,7 +122,8 @@ def plm_sup_sq(l_max: int) -> np.ndarray:
     the Ehlich-Zeller inequality its sup is at most the max over a
     uniform theta grid of 2K points divided by cos(pi l / (2K)).  The
     returned (L+1, L+1) array is a rigorous upper bound, much sharper
-    than the addition-formula bound for |m| near l.
+    than the addition-formula bound for |m| near l.  The sampler does not
+    use it: it proposes from the selected basis's own intensity.
     """
     L = l_max
     K = 4 * max(L, 1) + 64
@@ -150,6 +152,21 @@ def plm_sup_sq(l_max: int) -> np.ndarray:
     return (sup * safety) ** 2
 
 
+def _recurrence_coeffs(ell, m):
+    """Coefficients of the normalized three-term recurrence in the degree,
+
+        Pbar_l^m = a (x Pbar_(l-1)^m - b Pbar_(l-2)^m),   l > m,
+
+    shared by ``norm_plm_table`` and ``plm_sq``.  At l = m + 1, b = 0 and
+    a = sqrt(2m + 3), so the first step needs no Pbar_(m-1)^m.
+    """
+    ell = np.asarray(ell, dtype=float)
+    m = np.asarray(m, dtype=float)
+    a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
+    b = np.sqrt(((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0))
+    return a, b
+
+
 def norm_plm_table(l_max: int, x) -> np.ndarray:
     """Fully normalized associated Legendre table, shape (L+1, L+1) + x.shape.
 
@@ -168,11 +185,57 @@ def norm_plm_table(l_max: int, x) -> np.ndarray:
     for m in range(0, L):
         out[m + 1, m] = math.sqrt(2.0 * m + 3.0) * arr * out[m, m]
     for ell in range(2, L + 1):
-        ms = np.arange(0, ell - 1)
-        a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - ms * ms))
-        b = np.sqrt(((ell - 1.0) ** 2 - ms * ms) / (4.0 * (ell - 1.0) ** 2 - 1.0))
+        a, b = _recurrence_coeffs(ell, np.arange(0, ell - 1))
         shape = (-1,) + (1,) * arr.ndim
         out[ell, : ell - 1] = a.reshape(shape) * (
             arr * out[ell - 1, : ell - 1] - b.reshape(shape) * out[ell - 2, : ell - 1]
         )
     return out
+
+
+def plm_sq(ell, m, x) -> np.ndarray:
+    """|Pbar_l^m(x)|^2 elementwise over broadcast arrays of (l, m, x).
+
+    Pbar is the normalized entry of ``norm_plm_table``, so 2 pi |Pbar|^2 is
+    the density of cos(colatitude) under |Y_(l,+-m,2)|^2.  The diagonal
+    seed is |Pbar_m^m| = prod_(i<=m) sqrt((2i+1)/(2i)) sin^m / sqrt(4 pi),
+    which at x = +-1 is 1/sqrt(4 pi) for m = 0 and 0 otherwise; each entry
+    then runs l - m steps of the shared recurrence.  Entries are grouped by
+    (l, m) with the most steps first, so step t updates one leading slice
+    and computes its coefficients once per group.
+    """
+    ell, m, x = np.broadcast_arrays(
+        np.asarray(ell, dtype=int), np.asarray(m, dtype=int), np.asarray(x, dtype=float)
+    )
+    shape = x.shape
+    ell, m, x = ell.ravel(), m.ravel(), x.ravel()
+    if np.any((m < 0) | (m > ell)):
+        raise ValueError("plm_sq needs 0 <= m <= l")
+    if x.size == 0:
+        return np.zeros(shape)
+    order = np.lexsort((m, m - ell))
+    ell, m, x = ell[order], m[order], x[order]
+    starts = np.flatnonzero(np.diff(ell, prepend=-1) | np.diff(m, prepend=-1))
+    ends = np.append(starts[1:], len(x))
+    sizes = ends - starts
+    group_m = m[starts].astype(float)
+    group_steps = ell[starts] - m[starts]
+    i = np.arange(1, int(m.max()) + 1)
+    diag = np.concatenate([[1.0], np.cumprod(np.sqrt((2.0 * i + 1.0) / (2.0 * i)))])
+    sx = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    cur = diag[m] / math.sqrt(FOUR_PI) * sx**m  # 0.0**0 == 1 at the poles
+    prev = np.zeros_like(cur)
+    final = [cur, prev]  # an entry's value after s steps sits in final[s % 2]
+    active = np.searchsorted(-group_steps, -np.arange(1, int(group_steps[0]) + 1), side="right")
+    for t, g in enumerate(active, start=1):
+        k = ends[g - 1]
+        a, b = _recurrence_coeffs(group_m[:g] + t, group_m[:g])
+        head = prev[:k]  # becomes step t, in place: a (x cur - b prev)
+        head *= np.repeat(b, sizes[:g])
+        np.subtract(x[:k] * cur[:k], head, out=head)
+        head *= np.repeat(a, sizes[:g])
+        prev, cur = cur, prev
+    steps = ell - m
+    out = np.empty_like(x)
+    out[order] = np.where(steps % 2 == 0, final[0], final[1]) ** 2
+    return out.reshape(shape)

@@ -575,6 +575,10 @@ class ModelSpec:
         return out
 
 
+# the top-level fields of a model JSON object (``ModelSpec.to_json`` writes a subset)
+MODEL_FIELDS = frozenset({"schema", "family", "dim", "params", "trunc", "mode", "rho", "eta", "chi"})
+
+
 def load_model(source) -> ModelSpec:
     """Build a ModelSpec from a dict, JSON text, or a path to a JSON file.
 
@@ -593,6 +597,9 @@ def load_model(source) -> ModelSpec:
                 data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("a model must be a JSON object")
+    unknown = sorted(set(data) - MODEL_FIELDS, key=str)
+    if unknown:
+        raise ValueError(f"unknown field {unknown[0]!r}")
     if data.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema {data.get('schema')}")
     for name in ("family", "dim"):

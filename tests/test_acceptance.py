@@ -246,7 +246,7 @@ def test_criterion_10_harmonics_suites():
             p = sample_uniform(2, rng)
             q = sample_uniform(2, rng)
             ks = np.array(index_set(ell, 2))
-            level = ProjectionBasis(2, np.full(len(ks), ell), ks, np.zeros(len(ks)))
+            level = ProjectionBasis(2, np.full(len(ks), ell), ks)
             vals = level.eval_matrix(np.array([p.angles, q.angles]))
             total = np.sum(vals[0] * np.conj(vals[1]))
             s = math.acos(np.clip(np.dot(p.vector, q.vector), -1, 1))

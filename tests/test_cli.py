@@ -48,6 +48,17 @@ class TestSimulate:
         assert run(["simulate", "--model", str(mq_model), "--seed", "42", "--out", str(out)]) == 0
         assert out.read_bytes() == first
 
+    def test_sidecar_model_reloads(self, tmp_path, mq_model):
+        # the sidecar's model object is a valid model file for every command
+        out = tmp_path / "pts.csv"
+        assert run(["simulate", "--model", str(mq_model), "--seed", "3", "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "pts.csv.json").read_text())
+        reloaded = tmp_path / "reloaded.json"
+        reloaded.write_text(json.dumps(sidecar["model"]))
+        again = tmp_path / "again.csv"
+        assert run(["simulate", "--model", str(reloaded), "--seed", "3", "--out", str(again)]) == 0
+        assert again.read_bytes() == out.read_bytes()
+
     def test_different_seed_changes_output(self, tmp_path, mq_model):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         run(["simulate", "--model", str(mq_model), "--seed", "1", "--out", str(out1)])
@@ -209,6 +220,12 @@ class TestModelValidation:
         code, err = self._run(tmp_path, capsys, data)
         assert code == 1
         assert "missing field 'dim'" in err
+
+    def test_unknown_top_level_field(self, tmp_path, capsys):
+        # a misspelt "trunc" must not silently fall back to the default tolerance
+        code, err = self._run(tmp_path, capsys, dict(self.MQ, trnc={"tail_tol": 1e-12}))
+        assert code == 1
+        assert "unknown field 'trnc'" in err
 
     def test_non_numeric_parameter(self, tmp_path, capsys):
         code, err = self._run(tmp_path, capsys, dict(self.MQ, params={"tau": "ten", "delta": 0.5}))

@@ -10,6 +10,7 @@ from spheredpp.harmonics import (
     index_set,
     multiplicity,
     norm_plm_table,
+    plm_sq,
     sh_bound_sq,
 )
 from spheredpp.sampler import ProjectionBasis
@@ -26,7 +27,7 @@ def basis(dim, pairs):
     """Projection basis over explicit (level, order) pairs."""
     levels = np.array([p[0] for p in pairs], dtype=int)
     orders = np.array([p[1] for p in pairs], dtype=int)
-    return ProjectionBasis(dim, levels, orders, np.zeros(len(pairs)))
+    return ProjectionBasis(dim, levels, orders)
 
 
 def full_basis(dim, lmax):
@@ -150,6 +151,31 @@ class TestAssocLegendre:
         table = norm_plm_table(6, np.linspace(-1, 1, 9))
         for ell in range(7):
             assert np.all(table[ell, ell + 1:] == 0.0)
+
+
+class TestPlmSq:
+    # the per-(l, m) evaluator the colatitude draws use, against the table
+    def test_matches_table_every_order_to_200(self):
+        x = np.concatenate([[-1.0, 0.0, -0.999, 0.999, 1.0], np.linspace(-1.0, 1.0, 37)])
+        table = norm_plm_table(200, x) ** 2
+        ell, m = np.tril_indices(201)
+        vals = plm_sq(ell[:, None], m[:, None], x[None, :])
+        tol = 1e-13 * (2 * ell[:, None] + 1) / FOUR_PI
+        assert np.all(np.abs(vals - table[ell, m]) <= tol)
+
+    def test_poles(self):
+        # the diagonal seed at x = +-1 is 1/sqrt(4 pi) for m = 0 and 0 otherwise,
+        # so |Pbar_l^m(+-1)|^2 = (2l+1)/(4 pi) [m = 0], with no NaN from 0**0
+        ell, m = np.tril_indices(41)
+        for pole in (-1.0, 1.0):
+            vals = plm_sq(ell, m, pole)
+            expected = np.where(m == 0, (2 * ell + 1) / FOUR_PI, 0.0)
+            np.testing.assert_allclose(vals, expected, rtol=1e-13, atol=0.0)
+
+    def test_broadcast_shape_and_order_range(self):
+        assert plm_sq(3, np.array([0, 1, 2, 3]), np.zeros((5, 1))).shape == (5, 4)
+        with pytest.raises(ValueError):
+            plm_sq(2, 3, 0.5)
 
 
 class TestMultiplicity:

@@ -6,6 +6,7 @@ from scipy.stats import chisquare, ks_2samp
 
 from spheredpp.models import ModelSpec, most_repulsive_spectrum, resolve
 from spheredpp.sampler import (
+    ProjectionBasis,
     draw_bernoulli_basis,
     sample_dpp,
     sample_projection,
@@ -136,7 +137,18 @@ class TestProjectionSampling:
         spec = most_repulsive_spectrum(9.0, 2)
         basis = draw_bernoulli_basis(spec, rng(31))
         with pytest.raises(SamplingError, match="at point"):
-            sample_projection(basis, rng(31), max_rejects=0, batch=1)
+            sample_projection(basis, rng(31), max_rejects=0)
+
+    def test_colatitude_density_above_bound_raises(self, monkeypatch):
+        import spheredpp.sampler as sampler_module
+        from spheredpp.sampler import SamplingError, draw_cos_colatitude
+
+        # an evaluator that breaks the addition-formula bound (2l+1)/(4 pi)
+        monkeypatch.setattr(
+            sampler_module, "plm_sq", lambda ell, m, x: (2 * ell + 1) / (2 * math.pi) + 0 * x
+        )
+        with pytest.raises(SamplingError, match="exceeds its bound"):
+            draw_cos_colatitude([3], [1], rng(0))
 
 
 class TestModelSampling:
@@ -205,3 +217,153 @@ class TestModelSampling:
             # points within one pattern are negatively correlated, so the
             # iid standard error is conservative only up to a factor; use 4 sigma
             assert abs(frac - p) <= 4 * math.sqrt(p * (1 - p) / n)
+
+
+def _s2_quadrature(n_z=26, n_lon=50):
+    """Product rule on S^2 (Gauss-Legendre in cos colatitude, equispaced
+    longitude), exact for spherical polynomials of degree < min(2 n_z, n_lon)."""
+    from scipy.special import roots_legendre
+
+    z, wz = roots_legendre(n_z)
+    lon = 2 * math.pi * np.arange(n_lon) / n_lon
+    zz, ll = np.meshgrid(z, lon, indexing="ij")
+    angles = np.column_stack([np.arccos(zz.ravel()), ll.ravel()])
+    weights = np.outer(wz, np.full(n_lon, 2 * math.pi / n_lon)).ravel()
+    return angles, weights
+
+
+def _sph_harm(levels, orders, angles):
+    """Y_(l,k,2) at angle rows (colat, lon), from scipy: shape (B, n)."""
+    from scipy.special import sph_harm_y
+
+    return np.column_stack([
+        sph_harm_y(int(ell), int(k), angles[:, 0], angles[:, 1]) for ell, k in zip(levels, orders)
+    ])
+
+
+def _pair_counts(vecs, radii):
+    """Unordered pairs closer than each radius (geodesic distance)."""
+    dots = np.clip(vecs @ vecs.T, -1.0, 1.0)
+    dist = np.arccos(dots[np.triu_indices(len(vecs), 1)])
+    return np.array([np.sum(dist < r) for r in radii])
+
+
+class TestStageTwoExactness:
+    """The projection stage against the exact joint intensity of a fixed basis.
+
+    For a projection kernel K(x, y) = sum_i Y_i(x) conj(Y_i(y)) with
+    h_0(x) = K(x, x), the expected number of unordered pairs closer than r
+    is 1/2 int int 1{d(x, y) < r} (h_0(x) h_0(y) - |K(x, y)|^2), and the
+    expected count in a region A is int_A h_0.
+    """
+
+    RADII = (0.2, 0.35, 0.5)
+    REPS = 600
+
+    @pytest.fixture(scope="class")
+    def s2_basis(self):
+        pairs = [(ell, k) for ell in range(13) for k in range(-ell, ell + 1)]
+        pick = np.sort(np.random.default_rng(2024).choice(len(pairs), 24, replace=False))
+        levels = np.array([pairs[i][0] for i in pick])
+        orders = np.array([pairs[i][1] for i in pick])
+        return ProjectionBasis(2, levels, orders)
+
+    @pytest.fixture(scope="class")
+    def s2_patterns(self, s2_basis):
+        g = rng(2025)
+        return [sample_projection(s2_basis, g).pattern for _ in range(self.REPS)]
+
+    def test_s2_pair_counts(self, s2_basis, s2_patterns):
+        from scipy.special import eval_legendre
+
+        # Funk-Hecke: for f of degree <= 24 in y, int_{d(x,y)<r} f(y) dy equals
+        # int k(x.y) f(y) dy with the degree-24 kernel
+        # k(t) = (1 - c)/2 + sum_(L>=1) (P_(L-1)(c) - P_(L+1)(c))/2 P_L(t), c = cos r;
+        # the integrand is then a polynomial of degree <= 48 in x and in y,
+        # so the product rule gives the moments int int P_L(x.y) rho_2 exactly
+        angles, w = _s2_quadrature()
+        vals = _sph_harm(s2_basis.levels, s2_basis.orders, angles)
+        kmat = vals @ vals.conj().T
+        h0 = np.real(np.diag(kmat))
+        rho2 = np.outer(h0, h0) - np.abs(kmat) ** 2
+        colat, lon = angles[:, 0], angles[:, 1]
+        unit = np.column_stack([np.sin(colat) * np.cos(lon), np.sin(colat) * np.sin(lon), np.cos(colat)])
+        t = np.clip(unit @ unit.T, -1.0, 1.0)
+        moments = []
+        prev, cur = np.zeros_like(t), np.ones_like(t)
+        for L in range(25):
+            moments.append(w @ (cur * rho2) @ w)
+            prev, cur = cur, ((2 * L + 1) * t * cur - L * prev) / (L + 1)
+        counts = np.array([
+            _pair_counts(np.array([p.vector for p in pat.points]), self.RADII) for pat in s2_patterns
+        ])
+        for col, r in enumerate(self.RADII):
+            c = math.cos(r)
+            coef = [(1.0 - c) / 2.0] + [
+                (eval_legendre(L - 1, c) - eval_legendre(L + 1, c)) / 2.0 for L in range(1, 25)
+            ]
+            exact = 0.5 * np.dot(coef, moments)
+            mean = counts[:, col].mean()
+            se = counts[:, col].std(ddof=1) / math.sqrt(self.REPS)
+            assert abs(mean - exact) <= 4 * se, (r, mean, exact, se)
+
+    def test_s2_colatitude_histogram(self, s2_basis, s2_patterns):
+        from scipy.special import roots_legendre
+
+        edges = np.linspace(-1.0, 1.0, 11)
+        zs = np.array([math.cos(p.colat) for pat in s2_patterns for p in pat.points])
+        observed = np.histogram(zs, edges)[0]
+        # int of h_0 over each band: 2 pi sum_i int |Y_i(z, 0)|^2 dz, exact
+        # with 13 Gauss-Legendre nodes (degree <= 24 in z)
+        u, wu = roots_legendre(13)
+        expected = []
+        for a, b in zip(edges[:-1], edges[1:]):
+            z = (a + b) / 2 + (b - a) / 2 * u
+            vals = _sph_harm(s2_basis.levels, s2_basis.orders, np.column_stack([np.arccos(z), 0 * z]))
+            expected.append(2 * math.pi * (b - a) / 2 * wu @ np.sum(np.abs(vals) ** 2, axis=1))
+        expected = self.REPS * np.array(expected)
+        assert expected.sum() == pytest.approx(len(zs), rel=1e-10)
+        # points of one pattern are negatively correlated, so the iid
+        # chi-square law is conservative here
+        assert chisquare(observed, expected).pvalue > 1e-3
+
+    def test_s1_pair_counts(self):
+        freqs = np.array([0, 1, -2, 3, 5, -6, 8, -11, 12])
+        basis = ProjectionBasis(1, np.abs(freqs), np.where(freqs < 0, -1, 1))
+        n = len(freqs)
+        g = rng(2026)
+        counts = []
+        for _ in range(self.REPS):
+            theta = sample_projection(basis, g).pattern.angles()[:, 0]
+            gap = np.abs(theta[:, None] - theta[None, :])[np.triu_indices(n, 1)]
+            dist = np.minimum(gap, 2 * math.pi - gap)
+            counts.append([np.sum(dist < r) for r in self.RADII])
+        counts = np.array(counts)
+        diff = (freqs[:, None] - freqs[None, :]).astype(float)
+        for col, r in enumerate(self.RADII):
+            # int_{-r}^{r} |sum_i exp(i f_i t)|^2 dt = sum_ij 2 sin(diff r)/diff
+            overlap = np.sum(np.where(diff == 0, 2 * r, 2 * np.sin(diff * r) / np.where(diff == 0, 1, diff)))
+            exact = 0.5 * 2 * math.pi * (2 * r * n**2 - overlap) / (4 * math.pi**2)
+            mean = counts[:, col].mean()
+            se = counts[:, col].std(ddof=1) / math.sqrt(self.REPS)
+            assert abs(mean - exact) <= 4 * se, (r, mean, exact, se)
+
+
+@pytest.mark.parametrize("ell, m, draws", [(0, 0, 2000), (5, 0, 2000), (12, 12, 2000), (40, 7, 2000), (200, 3, 400)])
+def test_cos_colatitude_draw_ks(ell, m, draws):
+    from scipy.special import roots_legendre, sph_harm_y
+    from scipy.stats import kstest
+
+    from spheredpp.sampler import draw_cos_colatitude
+
+    x = draw_cos_colatitude(np.full(draws, ell), np.full(draws, m), rng(ell + 1000 * m))
+    u, wu = roots_legendre(ell + 1)  # |Pbar_lm|^2 has degree 2l
+
+    def cdf(z):
+        z = np.asarray(z, dtype=float)
+        t = -1.0 + (z[:, None] + 1.0) * (u[None, :] + 1.0) / 2.0
+        dens = 2 * math.pi * np.abs(sph_harm_y(ell, m, np.arccos(t), 0.0)) ** 2
+        return (z + 1.0) / 2.0 * (dens @ wu)
+
+    assert cdf(np.array([1.0]))[0] == pytest.approx(1.0, rel=1e-10)
+    assert kstest(x, cdf).pvalue > 1e-3
