@@ -69,7 +69,6 @@ from .sphere import (
     SpherePoint,
     equal_area_project,
     geodesic_distance,
-    sample_uniform,
     surface_measure,
 )
 from .streams import substream

@@ -27,7 +27,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import comb, kv
 
 from .harmonics import multiplicities, multiplicity
 from .spectra import (
@@ -108,7 +107,10 @@ def multiquadric_d_schoenberg(
 
         def levels(n_max):
             ells = np.arange(n_max + 1)
-            return comb(ells + dim - 2, dim - 2) * delta**ells * (1.0 - delta) ** (dim - 1)
+            binom = np.ones(n_max + 1)  # binom(l + d - 2, d - 2) = prod_j (l + j) / j
+            for j in range(1, dim - 1):
+                binom *= (ells + j) / j
+            return binom * delta**ells * (1.0 - delta) ** (dim - 1)
 
     else:
         psi = multiquadric_psi(tau, delta)
@@ -259,6 +261,8 @@ def matern_psi(nu: float, c: float):
             return np.exp(-np.asarray(s, dtype=float) / c)
 
         return psi
+
+    from scipy.special import kv  # the only scipy use at run time
 
     pref = 2.0 ** (1.0 - nu) / math.gamma(nu)
 

@@ -233,10 +233,7 @@ def sample_projection(
             rejects = 0
             start = i + 1
             h[start:] -= np.abs(vmat[start:] @ dual[j - 1]) ** 2
-    if basis.dim == 1:
-        accepted = tuple(SpherePoint.circle(theta) for theta in points[:, 0])
-    else:
-        accepted = tuple(SpherePoint.s2(colat, lon) for colat, lon in points)
+    accepted = tuple(SpherePoint(basis.dim, tuple(row)) for row in points)
     return SampleResult(
         PointPattern(basis.dim, accepted), n, proposals, n / proposals, basis.max_level,
     )

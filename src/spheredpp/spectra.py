@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, lgamma
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .harmonics import gegenbauer_at_one, gegenbauer_rows, multiplicities, multiplicity
 from .sphere import surface_measure
@@ -272,9 +272,38 @@ class QuadratureSpec:
     split_points: tuple = ()
 
 
+_GL_NEWTON_STEPS = 10
+
+
 @lru_cache(maxsize=16)
 def _gl_nodes(n: int):
-    return roots_legendre(n)
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on P_n(cos t) in the angle t, from the guesses
+    t_k = pi (k - 1/4) / (n + 1/2) for the nodes with x >= 0, which are
+    then mirrored.  P_n and P_(n-1) come from ``gegenbauer_rows`` (lam =
+    1/2) and give dP_n/dt = n (x P_n - P_(n-1)) / sin t; each weight
+    2 / ((1 - x^2) P_n'(x)^2) = 2 / (dP_n/dt)^2 is taken at the converged
+    angle.  Nodes still moving after _GL_NEWTON_STEPS steps raise
+    QuadratureError.
+    """
+    t = math.pi * (np.arange(1, (n + 1) // 2 + 1) - 0.25) / (n + 0.5)
+    converged = False
+    for _ in range(_GL_NEWTON_STEPS + 1):
+        x = np.cos(t)
+        p_prev, p_n = deque(gegenbauer_rows(n, 0.5, t), maxlen=2)
+        dp_dt = n * (x * p_n - p_prev) / np.sin(t)
+        if converged:
+            break
+        step = p_n / dp_dt
+        t -= step
+        converged = bool(np.all(np.abs(step) < 1e-10))
+    else:
+        raise QuadratureError(f"Gauss-Legendre nodes for n={n} did not converge")
+    if n % 2:
+        x[-1] = 0.0  # the middle node, where cos t is only ~1e-17
+    w = 2.0 / dp_dt**2
+    return np.concatenate([-x[: n // 2], x[::-1]]), np.concatenate([w[: n // 2], w[::-1]])
 
 
 def _panel_nodes(n: int, panels) -> tuple[np.ndarray, np.ndarray]:

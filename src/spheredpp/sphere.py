@@ -145,22 +145,6 @@ def pairwise_geodesic(points) -> np.ndarray:
     return _angle_between(vecs[:, None, :], vecs[None, :, :])
 
 
-def sample_uniform(dim: int, rng: np.random.Generator) -> SpherePoint:
-    """One point from the normalized surface measure.
-
-    d=1 draws theta uniformly; d=2 draws lon uniformly and cos(colat)
-    uniformly on [-1, 1].  The draw order is fixed, so a seeded rng
-    reproduces the same point sequence.
-    """
-    if dim == 1:
-        return SpherePoint.circle(rng.uniform(0.0, TWO_PI))
-    if dim == 2:
-        lon = rng.uniform(0.0, TWO_PI)
-        z = rng.uniform(-1.0, 1.0)
-        return SpherePoint.s2(math.acos(z), lon)
-    raise ValueError(f"uniform sampling implemented for d in {{1, 2}}, got d={dim}")
-
-
 def sample_uniform_angles(dim: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """Batch of uniform points as an angle array of shape (size, dim)."""
     if dim == 1:

@@ -38,8 +38,12 @@ from spheredpp.spectra import (
     eval_psi_series,
     schoenberg_to_d,
 )
-from spheredpp.sphere import PointPattern, sample_uniform, surface_measure
+from spheredpp.sphere import PointPattern, SpherePoint, sample_uniform_angles, surface_measure
 from spheredpp.streams import substream
+
+
+def uniform_points(dim, n, rng):
+    return tuple(SpherePoint(dim, tuple(a)) for a in sample_uniform_angles(dim, n, rng))
 
 
 @contextmanager
@@ -192,7 +196,7 @@ def test_criterion_09_mle():
             alpha[level] = a
             m = multiplicity(level, 2)
             gen = np.random.default_rng(100 + level)
-            pat = PointPattern(2, tuple(sample_uniform(2, gen) for _ in range(n)))
+            pat = PointPattern(2, uniform_points(2, n, gen))
             fit = newton_mle(pat, ScaledFitSpec(2, alpha))
             assert fit.chi == pytest.approx(n / (a * (m - n)), rel=1e-10)
         # simulated-data fits
@@ -220,9 +224,7 @@ def test_criterion_09_mle():
         h = 1e-5
         for _ in range(50):
             n = int(rng.integers(2, 7))
-            pat = PointPattern(
-                2, tuple(sample_uniform(2, rng) for _ in range(n))
-            )
+            pat = PointPattern(2, uniform_points(2, n, rng))
             alpha = rng.random(int(rng.integers(3, 7))) * 1.5
             zeta = float(rng.uniform(-2, 2))
             spec = ScaledFitSpec(2, alpha, math.exp(zeta))
@@ -243,8 +245,7 @@ def test_criterion_10_harmonics_suites():
         # addition formula, l <= 20, 100 pairs
         for _ in range(100):
             ell = int(rng.integers(0, 21))
-            p = sample_uniform(2, rng)
-            q = sample_uniform(2, rng)
+            p, q = uniform_points(2, 2, rng)
             ks = np.array(index_set(ell, 2))
             level = ProjectionBasis(2, np.full(len(ks), ell), ks)
             vals = level.eval_matrix(np.array([p.angles, q.angles]))

@@ -28,19 +28,23 @@ from spheredpp.spectra import (
     eval_psi_series,
 )
 from spheredpp.sampler import sample_dpp
-from spheredpp.sphere import PointPattern, sample_uniform
+from spheredpp.sphere import PointPattern, SpherePoint, sample_uniform_angles
 from spheredpp.streams import substream
+
+
+def uniform_points(dim, n, rng):
+    return tuple(SpherePoint(dim, tuple(a)) for a in sample_uniform_angles(dim, n, rng))
 
 
 class TestJointIntensity:
     def test_single_point_is_rho(self):
         rho = 0.3
-        pat = PointPattern(2, (sample_uniform(2, np.random.default_rng(1)),))
+        pat = PointPattern(2, uniform_points(2, 1, np.random.default_rng(1)))
         val = joint_intensity(pat, lambda s: rho * np.exp(-np.asarray(s)))
         assert val == pytest.approx(rho, rel=1e-14)
 
     def test_duplicated_point_vanishes(self):
-        p = sample_uniform(2, np.random.default_rng(2))
+        (p,) = uniform_points(2, 1, np.random.default_rng(2))
         val = joint_intensity([p, p], lambda s: 0.5 * np.cos(np.asarray(s)) ** 0 * np.exp(-np.asarray(s)))
         assert val == 0.0
 
@@ -50,7 +54,7 @@ class TestJointIntensity:
         psi = multiquadric_psi(1.0, 0.5)
         rho = 0.7
         for _ in range(20):
-            pat = PointPattern(2, (sample_uniform(2, rng), sample_uniform(2, rng)))
+            pat = PointPattern(2, uniform_points(2, 2, rng))
             val = joint_intensity(pat, psi, rho=rho)
             assert val <= rho * rho + 1e-12
 

@@ -20,12 +20,21 @@ from spheredpp.spectra import (
     from_density_kernel,
     to_density_kernel,
 )
-from spheredpp.sphere import PointPattern, pairwise_geodesic, sample_uniform, surface_measure
+from spheredpp.sphere import (
+    PointPattern,
+    SpherePoint,
+    pairwise_geodesic,
+    sample_uniform_angles,
+    surface_measure,
+)
+
+
+def uniform_points(dim, n, rng):
+    return tuple(SpherePoint(dim, tuple(a)) for a in sample_uniform_angles(dim, n, rng))
 
 
 def uniform_pattern(dim, n, seed):
-    rng = np.random.default_rng(seed)
-    return PointPattern(dim, tuple(sample_uniform(dim, rng) for _ in range(n)))
+    return PointPattern(dim, uniform_points(dim, n, np.random.default_rng(seed)))
 
 
 class TestLogDensity:
@@ -48,7 +57,7 @@ class TestLogDensity:
         ctx = DensityContext.from_kernel(kernel)
         rng = np.random.default_rng(3)
         vals = [
-            log_density(PointPattern(2, (sample_uniform(2, rng),)), ctx)
+            log_density(PointPattern(2, uniform_points(2, 1, rng)), ctx)
             for _ in range(10)
         ]
         expected = (
@@ -64,7 +73,7 @@ class TestLogDensity:
         ctx = DensityContext(model.density)
         rng = np.random.default_rng(4)
         for _ in range(5):
-            pts = tuple(sample_uniform(2, rng) for _ in range(6))
+            pts = uniform_points(2, 6, rng)
             full = log_density(PointPattern(2, pts), ctx)
             assert math.isfinite(full)
             for drop in range(6):

@@ -5,14 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_legendre
 
+from spheredpp import spectra
+from spheredpp.models import multiquadric_psi
 from spheredpp.spectra import (
     DSchoenbergSeq,
     ExistenceError,
     MercerSpectrum,
+    QuadratureError,
     QuadratureSpec,
     SchoenbergSeq,
     TruncationPolicy,
+    _gl_nodes,
     beta_from_kernel,
     correlation_mercer,
     d_schoenberg_from_psi,
@@ -106,6 +111,48 @@ class TestQuadratureInversion:
 
         with pytest.raises(QuadratureError):
             d_schoenberg_from_psi(noisy, 1, 3, QuadratureSpec(max_nodes=512))
+
+    @pytest.mark.parametrize("delta", [0.5, 0.9, 0.97])
+    def test_multiquadric_half_d2_to_400_levels(self, delta):
+        # tau = 1/2 on S^2 has the exact masses beta_(l,2) = delta^l (1 - delta)
+        out = d_schoenberg_from_psi(multiquadric_psi(0.5, delta), 2, 400)
+        exact = delta ** np.arange(401) * (1.0 - delta)
+        assert float(np.sum(np.abs(out.values - exact))) <= 3e-12
+
+
+class TestGaussLegendreNodes:
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 65, 1024])
+    def test_matches_scipy(self, n):
+        x, w = _gl_nodes(n)
+        ref_x, ref_w = roots_legendre(n)
+        np.testing.assert_allclose(x, ref_x, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w, ref_w, rtol=1e-8)
+        assert float(np.sum(w)) == pytest.approx(2.0, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 65, 1024])
+    def test_ascending_and_symmetric(self, n):
+        x, w = _gl_nodes(n)
+        assert len(x) == len(w) == n
+        assert np.all(np.diff(x) > 0)
+        assert np.all(x == -x[::-1]) and np.all(w == w[::-1])
+        assert np.all(w > 0)
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_exact_for_monomials(self, n):
+        # the n-point rule integrates x^k exactly for k <= 2n - 1
+        x, w = _gl_nodes(n)
+        for k in range(2 * n):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert float(np.dot(w, x**k)) == pytest.approx(exact, rel=1e-14, abs=1e-15)
+
+    def test_unconverged_newton_raises(self, monkeypatch):
+        monkeypatch.setattr(spectra, "_GL_NEWTON_STEPS", 1)
+        _gl_nodes.cache_clear()
+        try:
+            with pytest.raises(QuadratureError, match="n=64"):
+                _gl_nodes(64)
+        finally:
+            _gl_nodes.cache_clear()
 
 
 class TestMercerMaps:

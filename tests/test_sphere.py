@@ -11,7 +11,6 @@ from spheredpp.sphere import (
     SpherePoint,
     equal_area_project,
     geodesic_distance,
-    sample_uniform,
     sample_uniform_angles,
     surface_measure,
 )
@@ -69,17 +68,20 @@ class TestUniformSampling:
     def test_unit_norm(self):
         rng = np.random.default_rng(1)
         for dim in (1, 2):
-            p = sample_uniform(dim, rng)
-            assert np.linalg.norm(p.vector) == pytest.approx(1.0, abs=1e-12)
+            angles = sample_uniform_angles(dim, 5, rng)
+            assert angles.shape == (5, dim)
+            for row in angles:
+                p = SpherePoint(dim, tuple(row))
+                assert np.linalg.norm(p.vector) == pytest.approx(1.0, abs=1e-12)
 
     def test_determinism(self):
-        a = [sample_uniform(2, np.random.default_rng(7)).angles for _ in range(1)]
-        b = [sample_uniform(2, np.random.default_rng(7)).angles for _ in range(1)]
-        assert a == b
-        seq1 = [sample_uniform(1, np.random.default_rng(3)).theta for _ in range(5)]
-        rng = np.random.default_rng(3)
-        seq2 = [sample_uniform(1, rng).theta for _ in range(5)]
-        assert seq1[0] == seq2[0]
+        a = sample_uniform_angles(2, 5, np.random.default_rng(7))
+        b = sample_uniform_angles(2, 5, np.random.default_rng(7))
+        np.testing.assert_array_equal(a, b)
+        first = [sample_uniform_angles(1, 1, np.random.default_rng(3))[0, 0] for _ in range(5)]
+        batch = sample_uniform_angles(1, 5, np.random.default_rng(3))
+        assert first == [first[0]] * 5
+        assert first[0] == batch[0, 0]
 
     def test_mean_vector_small(self):
         rng = np.random.default_rng(42)
@@ -164,8 +166,8 @@ class TestPointPattern:
             PointPattern(2, (p, SpherePoint.s2(0.5, 0.5)))
 
     def test_csv_roundtrip_s2(self):
-        rng = np.random.default_rng(8)
-        pts = tuple(sample_uniform(2, rng) for _ in range(5))
+        angles = sample_uniform_angles(2, 5, np.random.default_rng(8))
+        pts = tuple(SpherePoint.s2(colat, lon) for colat, lon in angles)
         pat = PointPattern(2, pts)
         buf = io.StringIO(pat.to_csv_text())
         back = PointPattern.from_csv(buf)
