@@ -14,14 +14,22 @@ sum l^2 beta_(l,d) converges the slope is 0 and
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .harmonics import multiplicities
+from .models import TruncationError, resolve
 from .sampler import draw_bernoulli_basis
-from .spectra import DSchoenbergSeq, MercerSpectrum, eval_psi_series
+from .spectra import (
+    DSchoenbergSeq,
+    MercerSpectrum,
+    QuadratureError,
+    TruncationPolicy,
+    eval_psi_series,
+)
 from .sphere import pairwise_geodesic
 from .streams import substream
 
@@ -35,11 +43,10 @@ def joint_intensity(points, radial, rho: float | None = None) -> float:
     together with the intensity rho, so C_0 = rho R_0.  Tiny negative
     determinants (positive semi-definiteness roundoff) are clamped to 0.
     """
-    points = list(points)
-    n = len(points)
+    s = pairwise_geodesic(points)
+    n = len(s)
     if n == 0:
         return 1.0
-    s = pairwise_geodesic(points)
     mat = np.asarray(radial(s), dtype=float).reshape(n, n)
     if rho is not None:
         mat = rho * mat
@@ -59,12 +66,7 @@ def pair_correlation(radial_correlation, s):
 
 def global_repulsiveness(spec: MercerSpectrum) -> float:
     """I(g_0) computed from the kernel spectrum (exact given coefficients)."""
-    if spec.kind != "kernel":
-        raise ValueError("global repulsiveness needs a kernel spectrum")
-    eta = spec.eta
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    return (1.0 - spec.count_variance / eta) / eta
+    return eta_times_global_repulsiveness(spec) / spec.eta
 
 
 def eta_times_global_repulsiveness(spec: MercerSpectrum) -> float:
@@ -200,20 +202,15 @@ def repulsiveness_report(model) -> RepulsivenessReport:
     else:
         local = local_repulsiveness(model.correlation_beta, slope)
     if local.curvature is None and model.spec.trunc.tail_tol > 1e-12:
-        import dataclasses
-
-        from .models import resolve
-        from .spectra import TruncationPolicy
-
         fine_spec = dataclasses.replace(
             model.spec,
             trunc=TruncationPolicy(model.spec.trunc.max_level, 1e-12),
         )
         try:
             fine = resolve(fine_spec)
-        except Exception:
-            fine = None
-        if fine is not None:
+        except (TruncationError, QuadratureError):
+            pass  # the coarse verdict stands: curvature unavailable
+        else:
             local = local_repulsiveness(fine.correlation_beta, slope)
     return RepulsivenessReport(
         eta=spec.eta,
@@ -234,8 +231,7 @@ def radial_correlation(model, s):
 
 def pcf(model, s):
     """Pair correlation curve g_0(s) = 1 - R_0(s)^2 of a resolved model."""
-    r = np.asarray(radial_correlation(model, s), dtype=float)
-    return 1.0 - r * r
+    return pair_correlation(lambda t: radial_correlation(model, t), s)
 
 
 @dataclass(frozen=True)

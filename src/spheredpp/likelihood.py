@@ -129,21 +129,25 @@ class LoglikTriple:
     information: float
 
 
+def _profile(alpha: np.ndarray, m: np.ndarray, n: int, zeta: float, logdet: float):
+    """Log-likelihood n zeta + logdet - sum m log(1 + alpha e^zeta), score
+    and information at zeta, where logdet = log det(psi(s_ij))."""
+    ax = alpha * math.exp(zeta)
+    return (
+        n * zeta + logdet - float(np.sum(m * np.log1p(ax))),
+        n - float(np.sum(m * ax / (1.0 + ax))),
+        float(np.sum(m * ax / (1.0 + ax) ** 2)),
+    )
+
+
 def loglik_score_info(pattern: PointPattern, spec: ScaledFitSpec) -> LoglikTriple:
     """Log-likelihood, score, and observed information at zeta = ln chi."""
     n = len(pattern)
     if n == 0:
         raise ValueError("the likelihood in chi requires a nonempty pattern")
     m = multiplicities(len(spec.alpha) - 1, spec.dim)
-    ax = spec.alpha * spec.chi
-    loglik = (
-        n * math.log(spec.chi)
-        + _psi_logdet(pattern, spec)
-        - float(np.sum(m * np.log1p(ax)))
-    )
-    score = n - float(np.sum(m * ax / (1.0 + ax)))
-    info = float(np.sum(m * ax / (1.0 + ax) ** 2))
-    return LoglikTriple(loglik, score, info)
+    logdet = _psi_logdet(pattern, spec)
+    return LoglikTriple(*_profile(spec.alpha, m, n, math.log(spec.chi), logdet))
 
 
 @dataclass(frozen=True)
@@ -193,21 +197,9 @@ def newton_mle(
             f"({n} >= {m_total:.0f}); represent more levels"
         )
     psi_logdet = _psi_logdet(pattern, spec)
-
-    def score_info(zeta: float):
-        ax = spec.alpha * math.exp(zeta)
-        return (
-            n - float(np.sum(m * ax / (1.0 + ax))),
-            float(np.sum(m * ax / (1.0 + ax) ** 2)),
-        )
-
-    def loglik_var(zeta: float) -> float:
-        ax = spec.alpha * math.exp(zeta)
-        return n * zeta - float(np.sum(m * np.log1p(ax)))
-
     zeta = float(zeta0)
     lo, hi = -math.inf, math.inf  # score > 0 at lo, < 0 at hi
-    sc, info = score_info(zeta)
+    loglik, sc, info = _profile(spec.alpha, m, n, zeta, psi_logdet)
     it = 0
     while abs(sc) >= tol and it < max_iter:
         it += 1
@@ -223,16 +215,15 @@ def newton_mle(
             # bracket ends are finite whenever this triggers
             cand = 0.5 * (lo + hi)
         # step halving on likelihood decrease
-        base = loglik_var(zeta)
+        step = _profile(spec.alpha, m, n, cand, psi_logdet)
         halvings = 0
-        while loglik_var(cand) < base - 1e-13 * max(1.0, abs(base)) and halvings < 60:
+        while step[0] < loglik - 1e-13 * max(1.0, abs(loglik)) and halvings < 60:
             cand = 0.5 * (zeta + cand)
+            step = _profile(spec.alpha, m, n, cand, psi_logdet)
             halvings += 1
         zeta = cand
-        sc, info = score_info(zeta)
+        loglik, sc, info = step
     converged = abs(sc) < tol
     if not converged:
         raise RuntimeError(f"Newton-Raphson did not converge in {max_iter} iterations")
-    chi = math.exp(zeta)
-    loglik = n * zeta + psi_logdet - float(np.sum(m * np.log1p(spec.alpha * chi)))
-    return FitResult(chi, zeta, loglik, sc, info, it, converged)
+    return FitResult(math.exp(zeta), zeta, loglik, sc, info, it, converged)

@@ -107,28 +107,23 @@ class SpherePoint:
     @property
     def vector(self) -> np.ndarray:
         """Unit vector in R^(d+1)."""
-        if self.dim == 1:
-            t = self.angles[0]
-            return np.array([math.cos(t), math.sin(t)])
-        colat, lon = self.angles
-        st = math.sin(colat)
-        return np.array([st * math.cos(lon), st * math.sin(lon), math.cos(colat)])
+        return _unit_vectors(self.dim, np.array([self.angles]))[0]
 
 
-def _angle_between(u, v) -> np.ndarray:
-    """Angle between unit vectors along the last axis, 2 atan2(|u-v|, |u+v|).
-
-    Unlike arccos of the dot product, this keeps full relative precision
-    for nearly equal and nearly antipodal pairs.
-    """
-    return 2.0 * np.arctan2(np.linalg.norm(u - v, axis=-1), np.linalg.norm(u + v, axis=-1))
+def _unit_vectors(dim: int, angles: np.ndarray) -> np.ndarray:
+    """Unit vectors of shape (n, dim + 1) for an angle array of shape (n, dim)."""
+    if dim == 1:
+        return np.column_stack([np.cos(angles[:, 0]), np.sin(angles[:, 0])])
+    colat, lon = angles[:, 0], angles[:, 1]
+    st = np.sin(colat)
+    return np.column_stack([st * np.cos(lon), st * np.sin(lon), np.cos(colat)])
 
 
 def geodesic_distance(x: SpherePoint, y: SpherePoint) -> float:
     """Great-circle distance in [0, pi]."""
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    return float(_angle_between(x.vector, y.vector))
+    return float(pairwise_geodesic([x, y])[0, 1])
 
 
 def pairwise_geodesic(points) -> np.ndarray:
@@ -136,13 +131,21 @@ def pairwise_geodesic(points) -> np.ndarray:
 
     Accepts a PointPattern or any sequence of SpherePoint (the latter
     may contain duplicates, e.g. when probing joint intensities).
+    2 atan2(|u-v|, |u+v|), unlike arccos(u.v), keeps full relative precision
+    for nearly equal and nearly antipodal pairs; summing the squared norms
+    one coordinate at a time forms no (n, n, d+1) array.
     """
-    pts = list(points)
-    n = len(pts)
-    if n == 0:
+    if isinstance(points, PointPattern):
+        vecs = points.vectors
+    else:
+        vecs = np.array([p.vector for p in points])
+    if len(vecs) == 0:
         return np.zeros((0, 0))
-    vecs = np.array([p.vector for p in pts])
-    return _angle_between(vecs[:, None, :], vecs[None, :, :])
+    diff_sq = sum_sq = 0.0
+    for coord in vecs.T:
+        diff_sq = diff_sq + (coord[:, None] - coord) ** 2
+        sum_sq = sum_sq + (coord[:, None] + coord) ** 2
+    return 2.0 * np.arctan2(np.sqrt(diff_sq), np.sqrt(sum_sq))
 
 
 def sample_uniform_angles(dim: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -175,10 +178,13 @@ def equal_area_project(point: SpherePoint, hemisphere: str = "north"):
 
 @dataclass(frozen=True)
 class PointPattern:
-    """A finite point configuration on S^d (set semantics, stored order)."""
+    """A finite point configuration on S^d (set semantics, stored order),
+    also held as read-only arrays: (n, d) angles and (n, d+1) ``vectors``."""
 
     dim: int
     points: tuple = field(default_factory=tuple)
+    vectors: np.ndarray = field(init=False, repr=False, compare=False)
+    _angles: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple(self.points)
@@ -187,7 +193,12 @@ class PointPattern:
                 raise ValueError("all points must share the pattern dimension")
         if len({p.angles for p in pts}) != len(pts):
             raise ValueError("duplicate points are not allowed")
+        angles = np.array([p.angles for p in pts], dtype=float).reshape(len(pts), self.dim)
+        vectors = _unit_vectors(self.dim, angles)
+        angles.flags.writeable = vectors.flags.writeable = False
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_angles", angles)
+        object.__setattr__(self, "vectors", vectors)
 
     def __len__(self):
         return len(self.points)
@@ -196,10 +207,8 @@ class PointPattern:
         return iter(self.points)
 
     def angles(self) -> np.ndarray:
-        """Angle array of shape (n, dim)."""
-        if not self.points:
-            return np.zeros((0, self.dim))
-        return np.array([p.angles for p in self.points])
+        """Angle array of shape (n, dim), read-only."""
+        return self._angles
 
     def to_csv(self, path_or_file) -> None:
         """Write the spec'd CSV: d=1 column ``theta``; d=2 columns
@@ -211,18 +220,11 @@ class PointPattern:
                 self._write_csv(fh)
 
     def _write_csv(self, fh) -> None:
-        w = csv.writer(fh, lineterminator="\n")
         if self.dim == 1:
-            w.writerow(["theta"])
-            for p in self.points:
-                w.writerow([f"{p.theta:.17g}"])
+            header, table = "theta", self._angles
         else:
-            w.writerow(["theta", "phi", "x", "y", "z"])
-            for p in self.points:
-                x, y, z = p.vector
-                w.writerow(
-                    [f"{p.colat:.17g}", f"{p.lon:.17g}", f"{x:.17g}", f"{y:.17g}", f"{z:.17g}"]
-                )
+            header, table = "theta,phi,x,y,z", np.hstack([self._angles, self.vectors])
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=header, comments="")
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
@@ -238,14 +240,39 @@ class PointPattern:
 
     @classmethod
     def _read_csv(cls, fh) -> "PointPattern":
-        rows = list(csv.reader(fh))
-        if not rows:
-            raise ValueError("empty CSV")
-        header = [h.strip() for h in rows[0]]
-        if header == ["theta"]:
-            pts = [SpherePoint.circle(float(r[0])) for r in rows[1:] if r]
-            return cls(1, tuple(pts))
-        if header[:2] == ["theta", "phi"]:
-            pts = [SpherePoint.s2(float(r[0]), float(r[1])) for r in rows[1:] if r]
-            return cls(2, tuple(pts))
-        raise ValueError(f"unrecognized point CSV header: {header}")
+        """Every row needs as many numeric fields as the header; blank
+        lines are skipped.  A malformed row raises ValueError naming its
+        line."""
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError("empty CSV")
+            header = [h.strip() for h in header]
+            if header == ["theta"]:
+                dim = 1
+            elif header[:2] == ["theta", "phi"]:
+                dim = 2
+            else:
+                raise ValueError(f"unrecognized point CSV header: {header}")
+            pts = [_parse_row(dim, header, row, reader.line_num) for row in reader if row]
+        except csv.Error as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
+        return cls(dim, tuple(pts))
+
+
+def _parse_row(dim: int, header: list, row: list, line: int) -> SpherePoint:
+    if len(row) != len(header):
+        raise ValueError(
+            f"line {line}: field count {len(row)} does not match the header {','.join(header)}"
+        )
+    values = []
+    for name, cell in zip(header, row):
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise ValueError(f"line {line}, column {name!r}: not a number: {cell!r}") from None
+    try:
+        return SpherePoint(dim, tuple(values[:dim]))
+    except ValueError as exc:
+        raise ValueError(f"line {line}: {exc}") from None

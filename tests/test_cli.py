@@ -178,6 +178,27 @@ class TestFitCommands:
         assert run(["loglik", "--model", str(model), "--pattern", str(pts)]) == 1
         assert "theta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("theta,phi\n0.5,1.0\n0.7\n", "line 3: field count 1 does not match"),
+            ("theta,phi\n0.5,1.0\n\n0.7,abc\n", "line 4, column 'phi'"),
+            ("theta\n1,2\n", "line 2: field count 2 does not match"),
+        ],
+    )
+    def test_loglik_names_bad_csv_line(self, tmp_path, capsys, text, message):
+        model = tmp_path / "mq2.json"
+        model.write_text(
+            json.dumps(
+                {"family": "multiquadric", "params": {"tau": 1.0, "delta": 0.5},
+                 "dim": 2, "mode": "density", "chi": 1.0}
+            )
+        )
+        pts = tmp_path / "pts.csv"
+        pts.write_text(text)
+        assert run(["loglik", "--model", str(model), "--pattern", str(pts)]) == 1
+        assert message in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_usage_error(self):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from spheredpp import models
 from spheredpp.diagnostics import (
     RepulsivenessReport,
     eta_times_global_repulsiveness,
@@ -201,6 +202,19 @@ class TestReport:
         g = pcf(fine, np.array([-h, 0.0, h]))
         assert report.slope == 0.0
         assert report.curvature == pytest.approx((g[0] - 2 * g[1] + g[2]) / h**2, rel=1e-3)
+
+    def test_report_propagates_unexpected_refine_errors(self, monkeypatch):
+        # only truncation and quadrature failures of the refining resolve
+        # mean "curvature unavailable"; any other error is a fault to surface
+        spec = ModelSpec("multiquadric", {"tau": 0.5, "delta": 0.5}, 2, "density", chi=2.0)
+        model = resolve(spec)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("coefficient route fault")
+
+        monkeypatch.setattr(models, "multiquadric_d_schoenberg", broken)
+        with pytest.raises(RuntimeError, match="coefficient route fault"):
+            repulsiveness_report(model)
 
     def test_multiquadric_exact_curvature_mq1_400(self):
         # tau = 1, eta_max = 400: the 1e-12 re-resolve reaches the quadrature

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from spheredpp.sphere import (
     SpherePoint,
     equal_area_project,
     geodesic_distance,
+    pairwise_geodesic,
     sample_uniform_angles,
     surface_measure,
 )
@@ -62,6 +64,46 @@ class TestGeodesic:
         sba = geodesic_distance(b, a)
         assert sab == pytest.approx(sba, abs=1e-10)
         assert sab <= geodesic_distance(a, c) + geodesic_distance(c, b) + 1e-10
+
+
+def random_pattern(dim, n, seed):
+    angles = sample_uniform_angles(dim, n, np.random.default_rng(seed))
+    return PointPattern(dim, tuple(SpherePoint(dim, tuple(a)) for a in angles))
+
+
+class TestPairwiseGeodesic:
+    def test_geodesic_distance_is_pairwise_entry(self):
+        pat = random_pattern(2, 20, 1)
+        s = pairwise_geodesic(pat)
+        for i, j in [(0, 1), (3, 7), (19, 2), (5, 5)]:
+            assert geodesic_distance(pat.points[i], pat.points[j]) == s[i, j]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_near_and_antipodal_pairs_keep_relative_precision(self, dim):
+        eps = 1e-9
+        if dim == 1:
+            pts = [SpherePoint.circle(t) for t in (0.0, eps, math.pi - eps)]
+        else:
+            pts = [SpherePoint.s2(math.pi / 2, lon) for lon in (0.0, eps, math.pi - eps)]
+        s = pairwise_geodesic(pts)
+        assert s[0, 1] == pytest.approx(eps, rel=1e-12)
+        assert math.pi - s[0, 2] == pytest.approx(eps, rel=1e-6)
+
+    def test_matches_three_axis_norm_formula_bitwise(self):
+        # reference: the norms taken over (n, n, 3) difference and sum arrays
+        pat = random_pattern(2, 300, 300)
+        u = pat.vectors
+        reference = 2.0 * np.arctan2(
+            np.linalg.norm(u[:, None, :] - u[None, :, :], axis=-1),
+            np.linalg.norm(u[:, None, :] + u[None, :, :], axis=-1),
+        )
+        np.testing.assert_array_equal(pairwise_geodesic(pat), reference)
+
+    def test_plain_sequence_and_empty(self):
+        pat = random_pattern(1, 10, 2)
+        np.testing.assert_array_equal(pairwise_geodesic(list(pat)), pairwise_geodesic(pat))
+        assert pairwise_geodesic([]).shape == (0, 0)
+        assert pairwise_geodesic(PointPattern(2, ())).shape == (0, 0)
 
 
 class TestUniformSampling:
@@ -185,3 +227,67 @@ class TestPointPattern:
         assert text.splitlines()[0] == "theta,phi,x,y,z"
         # 17 significant digits survive the round trip exactly
         assert float(text.splitlines()[1].split(",")[0]) == 1.0
+
+    def test_csv_blank_lines_skipped(self):
+        pat = PointPattern.from_csv(io.StringIO("theta,phi\n\n0.5,1.0\n\n"))
+        assert len(pat) == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("theta,phi\n0.5,1.0\n0.7\n", "line 3: field count 1 does not match the header"),
+            ("theta,phi,x,y,z\n0.5,1.0,0,0,zz\n", "line 2, column 'z': not a number"),
+            ("theta\nabc\n", "line 2, column 'theta': not a number"),
+            ("theta\n1,2\n", "line 2: field count 2 does not match the header theta"),
+            ("theta,phi\n0.5,1.0\n4.0,1.0\n", "line 3: colatitude must lie in [0, pi]"),
+            ("theta\n1\r2\n", "line 2: new-line character"),
+            ("", "empty CSV"),
+            ("x,y\n1,2\n", "unrecognized point CSV header"),
+        ],
+    )
+    def test_csv_errors_name_the_line(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PointPattern.from_csv(io.StringIO(text))
+
+    @given(
+        st.one_of(
+            st.text(),
+            st.tuples(
+                st.sampled_from(["theta\n", "theta,phi\n", "theta,phi,x,y,z\n"]),
+                st.text(alphabet="0123456789.,-+eEinfa \n\r\""),
+            ).map("".join),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_text_gives_pattern_or_value_error(self, text):
+        try:
+            pat = PointPattern.from_csv(io.StringIO(text))
+        except ValueError:
+            return
+        assert np.all(np.isfinite(pat.angles()))
+
+
+class TestPatternArrays:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_arrays_match_points(self, dim):
+        pat = random_pattern(dim, 50, 11)
+        np.testing.assert_array_equal(pat.vectors, np.array([p.vector for p in pat]))
+        np.testing.assert_array_equal(pat.angles(), np.array([p.angles for p in pat]))
+        assert pat.vectors.shape == (50, dim + 1)
+
+    def test_arrays_read_only(self):
+        pat = random_pattern(2, 5, 12)
+        with pytest.raises(ValueError):
+            pat.vectors[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            pat.angles()[0, 0] = 0.0
+
+    @pytest.mark.parametrize("dim, n", [(1, 0), (1, 20), (2, 0), (2, 20)])
+    def test_csv_writer_matches_per_point_rows(self, dim, n):
+        pat = random_pattern(dim, n, 13)
+        header = "theta" if dim == 1 else "theta,phi,x,y,z"
+        rows = [
+            ",".join(f"{v:.17g}" for v in (*p.angles, *(p.vector if dim == 2 else ())))
+            for p in pat
+        ]
+        assert pat.to_csv_text() == "\n".join([header, *rows]) + "\n"
