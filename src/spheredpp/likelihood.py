@@ -24,7 +24,7 @@ import numpy as np
 
 from .harmonics import multiplicities
 from .spectra import MercerSpectrum, eval_radial_series, to_density_kernel
-from .sphere import PointPattern, pairwise_geodesic, surface_measure
+from .sphere import PointPattern, surface_measure
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,10 @@ def _chol_logdet(mat: np.ndarray) -> float:
 
 def _radial_logdet(pattern: PointPattern, radial) -> float:
     """log det of radial(s(x_i, x_j)), evaluated once per pair on the
-    upper triangle of the distances and mirrored."""
+    pattern's upper-triangle distances and mirrored."""
     upper = np.triu_indices(len(pattern))
     mat = np.empty((len(pattern),) * 2)
-    mat[upper] = mat.T[upper] = radial(pairwise_geodesic(pattern)[upper])
+    mat[upper] = mat.T[upper] = radial(pattern.upper_distances)
     return _chol_logdet(mat)
 
 

@@ -87,20 +87,46 @@ def multiquadric_beta0_s2(tau: float, delta: float) -> float:
     )
 
 
+def truncate_levels(levels, counts, trunc: TruncationPolicy):
+    """(values of levels 0..L, tail_L) for the smallest L with
+    tail_L <= tail_tol * (represented_L + tail_L), in expected points.
+
+    ``levels(n)`` gives the values of levels 0..n, and ``counts(values)`` their
+    expected counts and, per level, an upper bound on the count past it (inf
+    where none holds).  The level count doubles from 64 up to max_level;
+    reaching it first raises TruncationError.
+    """
+    n_max = min(64, trunc.max_level)
+    while True:
+        values = levels(n_max)
+        terms, tails = counts(values)
+        represented = np.cumsum(terms)
+        cut = np.flatnonzero(np.isfinite(tails) & (tails <= trunc.tail_tol * (represented + tails)))
+        if len(cut):
+            return values[: cut[0] + 1], float(tails[cut[0]])
+        if n_max == trunc.max_level:
+            raise TruncationError(
+                f"series tail {tails[-1]:.3g} exceeds tail_tol = {trunc.tail_tol:g} "
+                f"of the expected count at max_level={trunc.max_level}"
+            )
+        n_max = min(2 * n_max, trunc.max_level)
+
+
 def multiquadric_d_schoenberg(
     tau: float,
     delta: float,
     dim: int,
     trunc: TruncationPolicy = TruncationPolicy(),
+    chi: float | None = None,
 ) -> DSchoenbergSeq:
     """d-Schoenberg coefficients of the multiquadric correlation.
 
     For tau = (d-1)/2 (d >= 2) the exact closed form
     beta_(l,d) = binom(l+d-2, l) delta^l (1-delta)^(d-1) applies; otherwise
-    the closed-form psi is inverted by quadrature.  The level count doubles
-    from 64 up to the policy's cap and is cut at the smallest L with
-    1 - sum_(l<=L) beta_(l,d) <= tail_tol; since psi(0) = 1 that is the
-    represented tail.  Reaching the cap first raises TruncationError.
+    the closed-form psi is inverted by quadrature, and ``truncate_levels``
+    cuts the series.  Kernel mode (chi None) counts eta beta, so eta cancels
+    and the tail is 1 - sum beta (psi(0) = 1).  Density mode counts m lambda,
+    lambda~ = chi sigma_d beta / m, with the bound chi sigma_d (1 - sum beta).
     """
     _check_multiquadric(tau, delta)
     if dim >= 2 and tau == (dim - 1) / 2.0:
@@ -118,20 +144,19 @@ def multiquadric_d_schoenberg(
         def levels(n_max):
             return d_schoenberg_from_psi(psi, dim, n_max).values
 
-    n_max = min(64, trunc.max_level)
-    while True:
-        values = levels(n_max)
-        tails = 1.0 - np.cumsum(values)
-        cut = np.flatnonzero(tails <= trunc.tail_tol)
-        if len(cut):
-            L = int(cut[0])
-            return DSchoenbergSeq(dim, values[: L + 1], tail_bound=max(0.0, float(tails[L])))
-        if n_max == trunc.max_level:
-            raise TruncationError(
-                f"multiquadric tail {tails[-1]:.3g} exceeds tolerance at "
-                f"max_level={trunc.max_level}"
-            )
-        n_max = min(2 * n_max, trunc.max_level)
+    def mass_tails(beta):
+        return np.maximum(1.0 - np.cumsum(beta), 0.0)  # rounding can take it below 0
+
+    def counts(beta):
+        if chi is None:
+            return beta, mass_tails(beta)
+        chi_sigma = chi * surface_measure(dim)
+        m = multiplicities(len(beta) - 1, dim)
+        lam_tilde = chi_sigma * beta / m
+        return m * (lam_tilde / (1.0 + lam_tilde)), chi_sigma * mass_tails(beta)
+
+    values, _ = truncate_levels(levels, counts, trunc)
+    return DSchoenbergSeq(dim, values, tail_bound=float(mass_tails(values)[-1]))
 
 
 def multiquadric_eta_max(tau: float, delta: float, dim: int) -> float:
@@ -145,25 +170,6 @@ def multiquadric_eta_max(tau: float, delta: float, dim: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _spectral_lambda(ells: np.ndarray, alpha: float, beta: float, kappa: float):
-    """1 / (1 + beta exp((l/alpha)^kappa)), evaluated overflow-safely."""
-    out = np.zeros(len(ells))
-    logb = math.log(beta)
-    for i, ell in enumerate(ells):
-        if ell == 0:
-            g = logb
-        else:
-            t = kappa * math.log(ell / alpha)
-            if t > 709.0:
-                continue  # lambda underflows to 0
-            expt = math.exp(t)
-            if expt > 709.0 - logb:
-                continue
-            g = logb + expt
-        out[i] = 1.0 / (1.0 + math.exp(g)) if g > -709.0 else 1.0
-    return out
-
-
 def spectral_model_spectrum(
     alpha: float,
     beta: float,
@@ -173,42 +179,32 @@ def spectral_model_spectrum(
 ) -> MercerSpectrum:
     """Kernel spectrum of the flexible spectral family.
 
-    All eigenvalues lie strictly inside (0, 1), so the DPP always
-    exists and has a density.  Levels are accumulated until the
-    remaining tail of sum m*lambda is below the truncation tolerance;
-    hitting the level cap first is an error because the expected count
-    would be misstated.
+    All eigenvalues lie strictly inside (0, 1), so the DPP always exists
+    and has a density.  The series is cut by ``truncate_levels``: the tail
+    of sum m*lambda is its exact suffix sum within the evaluated levels,
+    plus a bound on what lies past them.
     """
     if alpha <= 0 or beta <= 0 or kappa <= 0:
         raise ValueError("alpha, beta, kappa must all be positive")
-    chunk = 128
-    values = np.array([])
-    start = 0
-    while True:
-        ells = np.arange(start, min(start + chunk, trunc.max_level + 1))
-        if len(ells) == 0:
-            raise TruncationError(
-                f"spectral model tail exceeds tolerance at max_level={trunc.max_level}"
-            )
-        values = np.concatenate([values, _spectral_lambda(ells, alpha, beta, kappa)])
-        start = len(values)
-        m = multiplicities(len(values) - 1, dim)
-        terms = m * values
-        eta_acc = float(np.sum(terms))
-        if terms[-1] == 0.0:
-            return MercerSpectrum(dim, "kernel", values, tail_bound=0.0)
-        # geometric tail bound; valid once the term ratios are below 1 and
-        # decreasing (the eigenvalues decay faster than exponentially)
-        if len(terms) >= 4 and np.all(terms[-4:] > 0):
+
+    def levels(n_max):
+        with np.errstate(over="ignore"):  # lambda is 0 where exp overflows
+            return 1.0 / (1.0 + beta * np.exp((np.arange(n_max + 1) / alpha) ** kappa))
+
+    def counts(lam):
+        terms = multiplicities(len(lam) - 1, dim) * lam
+        # past the evaluated levels: 0 once the decreasing terms underflow, else a
+        # geometric bound, valid once the term ratios are below 1 and decreasing
+        beyond = 0.0 if terms[-1] == 0.0 else math.inf
+        if beyond and len(terms) >= 4:
             r1, r2, r3 = terms[-3:] / terms[-4:-1]
             if r3 < 1.0 - 1e-9 and r3 <= r2 <= r1:
-                tail = terms[-1] * r3 / (1.0 - r3)
-                if tail < trunc.tail_tol * max(eta_acc, 1e-300):
-                    return MercerSpectrum(dim, "kernel", values, tail_bound=tail)
-        if start > trunc.max_level:
-            raise TruncationError(
-                f"spectral model tail exceeds tolerance at max_level={trunc.max_level}"
-            )
+                beyond = terms[-1] * r3 / (1.0 - r3)
+        suffix = np.cumsum(terms[::-1])[::-1]  # suffix[l] = sum of terms from l on
+        return terms, np.append(suffix[1:], 0.0) + beyond
+
+    values, tail = truncate_levels(levels, counts, trunc)
+    return MercerSpectrum(dim, "kernel", values, tail_bound=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +335,8 @@ def circular_matern_spectrum(
     """
     if sigma <= 0 or nu <= 0 or alpha <= 0:
         raise ValueError("sigma, nu, alpha must all be positive")
+    if trunc.max_level < 1:
+        raise ValueError(f"trunc.max_level must be >= 1 for circular_matern, got {trunc.max_level}")
     lam0 = sigma**2 / alpha ** (2.0 * nu + 1.0)
     if lam0 > 1.0 + 1e-12:
         raise ExistenceError(
@@ -560,8 +558,11 @@ class ModelSpec:
         if self.family in PSI_FAMILIES:
             if self.mode == "kernel" and self.rho is None:
                 raise ValueError(f"{self.family} in kernel mode needs 'rho' (or 'eta')")
-            if self.mode == "density" and (self.chi is None or self.chi <= 0):
-                raise ValueError(f"{self.family} in density mode needs 'chi' > 0")
+            sigma = surface_measure(self.dim)
+            if self.mode == "density" and not 0 < (self.chi or 0.0) * sigma < math.inf:
+                raise ValueError(
+                    f"{self.family} in density mode needs 'chi' > 0 with chi * sigma_d finite"
+                )
 
     def to_json(self) -> dict:
         out = {
@@ -661,7 +662,8 @@ def _psi_family_beta(spec: ModelSpec):
     p = spec.params
     if spec.family == "multiquadric":
         tau, delta = p["tau"], p["delta"]
-        beta_d = multiquadric_d_schoenberg(tau, delta, spec.dim, spec.trunc)
+        chi = spec.chi if spec.mode == "density" else None
+        beta_d = multiquadric_d_schoenberg(tau, delta, spec.dim, spec.trunc, chi)
         # kernel mode: g_0 = 1 - psi^2 with psi(0) = 1 and psi'(0) = 0, so
         # g_0'(0) = 0 and g_0''(0) = -2 psi''(0) = 4 tau delta / (1 - delta)^2
         exact = (0.0, 4.0 * tau * delta / (1.0 - delta) ** 2) if spec.mode == "kernel" else None
@@ -683,26 +685,21 @@ def resolve(spec: ModelSpec) -> ResolvedModel:
 
     Kernel mode checks the existence bound rho <= rho_max; density mode
     maps lambda~ = chi alpha back to kernel eigenvalues, which always
-    exist.
+    exist, and the kernel inherits the density tail bound (lambda <= lambda~).
     """
     sigma = surface_measure(spec.dim)
     if spec.family in PSI_FAMILIES:
         psi, beta_d, exact = _psi_family_beta(spec)
         if spec.mode == "kernel":
-            eta = spec.rho * sigma
-            kernel = mercer_from_d(beta_d, eta)
-            density = None
-            if np.all(kernel.values < 1.0):
-                density = to_density_kernel(kernel)
+            kernel = mercer_from_d(beta_d, spec.rho * sigma)
+            density = to_density_kernel(kernel) if np.all(kernel.values < 1.0) else None
             return ResolvedModel(spec, kernel, beta_d, psi, density, exact)
         alpha = correlation_mercer(beta_d)
         density = MercerSpectrum(
-            spec.dim, "density-kernel", spec.chi * alpha.values, alpha.tail_bound
+            spec.dim, "density-kernel", spec.chi * alpha.values, spec.chi * alpha.tail_bound
         )
         kernel = from_density_kernel(density)
-        return ResolvedModel(
-            spec, kernel, beta_from_kernel(kernel), psi, density, exact
-        )
+        return ResolvedModel(spec, kernel, beta_from_kernel(kernel), psi, density, exact)
 
     if spec.family == "spectral":
         p = spec.params

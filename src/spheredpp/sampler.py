@@ -181,7 +181,8 @@ def sample_projection(
     consumed in order: proposal x is accepted for point j+1 when
     u h_0(x) < h_j(x).  After each acceptance the orthonormal set grows
     by one vector (Gram-Schmidt with one re-orthogonalization pass) and
-    the pending proposals' h drop by their squared projection on it.  More than ``max_rejects`` rejections for one point raise
+    the pending proposals' h drop by their squared projection on it.
+    More than ``max_rejects`` rejections for one point raise
     ``SamplingError``.
     """
     n = len(basis)

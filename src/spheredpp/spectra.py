@@ -40,14 +40,16 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Series truncation contract: hard level cap and relative tail mass."""
+    """Series truncation contract: hard level cap and the tail's largest share of the count."""
 
     max_level: int = 4096
     tail_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.max_level < 0 or self.tail_tol <= 0:
-            raise ValueError("max_level >= 0 and tail_tol > 0 required")
+        if self.max_level < 0:
+            raise ValueError(f"trunc.max_level must be >= 0, got {self.max_level}")
+        if not 0 < self.tail_tol < 1:
+            raise ValueError(f"trunc.tail_tol must lie in (0, 1), got {self.tail_tol}")
 
 
 @dataclass(frozen=True)
@@ -124,6 +126,7 @@ class MercerSpectrum:
     kind = "kernel" holds DPP eigenvalues lambda_(l,d) in [0, 1];
     kind = "correlation" holds alpha_(l,d) >= 0;
     kind = "density-kernel" holds lambda~_(l,d) >= 0.
+    tail_bound bounds sum m_(l,d) * value past the last level, for every kind.
     """
 
     dim: int
@@ -400,9 +403,9 @@ def d_schoenberg_from_psi(
 
 def correlation_mercer(beta_d: DSchoenbergSeq) -> MercerSpectrum:
     """Mercer coefficients alpha_(l,d) = sigma_d beta_(l,d) / m_(l,d)."""
-    m = multiplicities(len(beta_d) - 1, beta_d.dim)
-    alpha = surface_measure(beta_d.dim) * beta_d.values / m
-    return MercerSpectrum(beta_d.dim, "correlation", alpha, beta_d.tail_bound)
+    sigma = surface_measure(beta_d.dim)
+    alpha = sigma * beta_d.values / multiplicities(len(beta_d) - 1, beta_d.dim)
+    return MercerSpectrum(beta_d.dim, "correlation", alpha, sigma * beta_d.tail_bound)
 
 
 def mercer_from_d(beta_d: DSchoenbergSeq, eta: float) -> MercerSpectrum:

@@ -17,6 +17,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -209,6 +210,14 @@ class PointPattern:
     def angles(self) -> np.ndarray:
         """Angle array of shape (n, dim), read-only."""
         return self._angles
+
+    @cached_property
+    def upper_distances(self) -> np.ndarray:
+        """Geodesic distances of the pairs i <= j in ``np.triu_indices`` order,
+        read-only; computed on first use and kept with the pattern."""
+        dist = pairwise_geodesic(self)[np.triu_indices(len(self))]
+        dist.flags.writeable = False
+        return dist
 
     def to_csv(self, path_or_file) -> None:
         """Write the spec'd CSV: d=1 column ``theta``; d=2 columns

@@ -252,3 +252,36 @@ class TestModelValidation:
         code, err = self._run(tmp_path, capsys, dict(self.MQ, params={"tau": "ten", "delta": 0.5}))
         assert code == 1
         assert "tau must be a finite number" in err
+
+    @pytest.mark.parametrize("tail_tol", [0.0, 1.0, 5.0])
+    def test_tail_tol_outside_unit_interval(self, tmp_path, capsys, tail_tol):
+        # tail_tol = 5 once resolved a multiquadric to one level with eta = 0.27 of 1
+        code, err = self._run(tmp_path, capsys, dict(self.MQ, trunc={"tail_tol": tail_tol}))
+        assert code == 1
+        assert "trunc.tail_tol must lie in (0, 1)" in err
+
+    def test_negative_max_level(self, tmp_path, capsys):
+        code, err = self._run(tmp_path, capsys, dict(self.MQ, trunc={"max_level": -1}))
+        assert code == 1
+        assert "trunc.max_level must be >= 0" in err
+
+    def test_circular_matern_zero_max_level(self, tmp_path, capsys):
+        data = {"family": "circular_matern", "params": {"sigma": 1.0, "nu": 0.5, "alpha": 1.0},
+                "dim": 1, "trunc": {"max_level": 0}}
+        code, err = self._run(tmp_path, capsys, data)
+        assert code == 1
+        assert "trunc.max_level" in err
+
+    @pytest.mark.parametrize("command", ["coeffs", "loglik", "mle"])
+    def test_chi_overflowing_sigma_names_chi(self, tmp_path, capsys, command):
+        # chi * sigma_2 overflows: once this printed eta = nan and exited 0
+        model = tmp_path / "huge.json"
+        data = {k: v for k, v in self.MQ.items() if k != "eta"}
+        model.write_text(json.dumps(dict(data, mode="density", chi=1e308)))
+        pts = tmp_path / "pts.csv"
+        PointPattern(2, (SpherePoint.s2(0.5, 1.0), SpherePoint.s2(2.0, 3.0))).to_csv(pts)
+        extra = ["--out", str(tmp_path / "c.csv")] if command == "coeffs" else ["--pattern", str(pts)]
+        assert run([command, "--model", str(model), *extra]) == 1
+        captured = capsys.readouterr()
+        assert "'chi'" in captured.err
+        assert "nan" not in captured.out

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spheredpp.diagnostics import local_repulsiveness
+from spheredpp.harmonics import multiplicities
 from spheredpp.models import (
     FAMILY_PARAMS,
     ModelSpec,
@@ -30,6 +32,7 @@ from spheredpp.spectra import (
     ExistenceError,
     QuadratureSpec,
     TruncationPolicy,
+    correlation_mercer,
     d_schoenberg_from_psi,
     eval_psi_series,
 )
@@ -399,3 +402,110 @@ class TestLoadModelFuzz:
         assert isinstance(spec, ModelSpec)
         assert set(spec.params) == set(FAMILY_PARAMS[spec.family])
         assert all(math.isfinite(v) for v in spec.params.values())
+
+
+SIGMA2 = surface_measure(2)
+TIGHT = TruncationPolicy(tail_tol=1e-13)
+
+
+def _density_count(beta, chi, dim):
+    """sum m lambda of the density-mode kernel lambda~ = chi sigma_d beta / m."""
+    m = multiplicities(len(beta) - 1, dim)
+    lam_tilde = chi * surface_measure(dim) * beta / m
+    return float(np.sum(m * (lam_tilde / (1.0 + lam_tilde))))
+
+
+def _spectral_count(alpha, beta, kappa, dim, n_levels=20_000):
+    with np.errstate(over="ignore"):
+        lam = 1.0 / (1.0 + beta * np.exp((np.arange(n_levels) / alpha) ** kappa))
+    return float(np.sum(multiplicities(n_levels - 1, dim) * lam))
+
+
+def _mq_density(tau, delta, chi, trunc):
+    return ModelSpec("multiquadric", {"tau": tau, "delta": delta}, 2, "density", chi=chi, trunc=trunc)
+
+
+# (spec, the model's full expected count); tau = 1/2 has closed-form
+# coefficients (1 - delta) delta^l on S^2, so its reference needs no
+# quadrature.  The tau = 10 fit-grid model runs at the default tolerance,
+# since its quadrature coefficients carry errors near 1e-12.
+CONTRACT_CASES = {
+    "mq-kernel-tau10": (
+        ModelSpec("multiquadric", {"tau": 10.0, "delta": 0.74}, 2, rho=100.0 / SIGMA2, trunc=TIGHT),
+        lambda: 100.0,
+    ),
+    "mq-kernel-tau1": (
+        ModelSpec("multiquadric", {"tau": 1.0, "delta": 0.9}, 2, rho=50.0 / SIGMA2, trunc=TIGHT),
+        lambda: 50.0,
+    ),
+    **{
+        f"mq-density-tau-half-chi{chi:g}": (
+            _mq_density(0.5, 0.6, chi, TIGHT),
+            lambda chi=chi: _density_count(0.4 * 0.6 ** np.arange(2000), chi, 2),
+        )
+        for chi in (1.0, 30.0, 1000.0)
+    },
+    **{
+        f"mq-density-tau10-chi{chi:g}": (
+            _mq_density(10.0, 0.74, chi, TruncationPolicy()),
+            lambda chi=chi: _density_count(
+                d_schoenberg_from_psi(multiquadric_psi(10.0, 0.74), 2, 512).values, chi, 2
+            ),
+        )
+        for chi in (1.0, 30.0, 1000.0)
+    },
+    "sp-8-1-2": (
+        ModelSpec("spectral", {"alpha": 8.0, "beta": 1.0, "kappa": 2.0}, 2, trunc=TIGHT),
+        lambda: _spectral_count(8.0, 1.0, 2.0, 2),
+    ),
+    "spectral-4-2-1.5": (
+        ModelSpec("spectral", {"alpha": 4.0, "beta": 2.0, "kappa": 1.5}, 2, trunc=TIGHT),
+        lambda: _spectral_count(4.0, 2.0, 1.5, 2),
+    ),
+    "spectral-3-0.5-1-circle": (
+        ModelSpec("spectral", {"alpha": 3.0, "beta": 0.5, "kappa": 1.0}, 1, trunc=TIGHT),
+        lambda: _spectral_count(3.0, 0.5, 1.0, 1),
+    ),
+    "most-repulsive-400": (
+        ModelSpec("most_repulsive", {"eta": 400.0}, 2, trunc=TIGHT),
+        lambda: 400.0,
+    ),
+}
+
+TAIL_CASES = {
+    "mq-kernel": ModelSpec("multiquadric", {"tau": 10.0, "delta": 0.74}, 2, rho=100.0 / SIGMA2),
+    "mq-density-chi1": _mq_density(10.0, 0.74, 1.0, TruncationPolicy()),
+    "mq-density-chi50": _mq_density(10.0, 0.74, 50.0, TruncationPolicy()),
+    "sp-8-1-2": ModelSpec("spectral", {"alpha": 8.0, "beta": 1.0, "kappa": 2.0}, 2),
+}
+
+
+class TestTruncationContract:
+    # rounding of the summed counts: a few ulps of eta
+    ROUNDING = 1e-15
+
+    @pytest.mark.parametrize("name", sorted(CONTRACT_CASES))
+    def test_represented_eta_within_tail_tol_and_cut_minimal(self, name):
+        spec, full_count = CONTRACT_CASES[name]
+        eta, tol = full_count(), spec.trunc.tail_tol
+        kernel = resolve(spec).kernel
+        terms = kernel.mults * kernel.values
+        assert float(np.sum(terms)) >= (1.0 - tol - self.ROUNDING) * eta
+        # one level fewer would break the contract
+        assert float(np.sum(terms[:-1])) < (1.0 - tol) * eta
+
+    @pytest.mark.parametrize("name", sorted(TAIL_CASES))
+    def test_tail_bound_covers_finer_truncation(self, name):
+        # tail_bound counts sum m * value past the cut for every kind
+        spec = TAIL_CASES[name]
+        coarse = resolve(spec)
+        fine = resolve(dataclasses.replace(spec, trunc=TruncationPolicy(tail_tol=1e-12)))
+        pairs = [
+            (coarse.kernel, fine.kernel),
+            (correlation_mercer(coarse.correlation_beta), correlation_mercer(fine.correlation_beta)),
+        ]
+        if spec.mode == "density":
+            pairs.append((coarse.density, fine.density))
+        for cut, finer in pairs:
+            added = float(np.sum((finer.mults * finer.values)[len(cut):]))
+            assert 0.0 < added <= cut.tail_bound, cut.kind

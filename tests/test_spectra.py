@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -309,3 +310,16 @@ class TestSequenceInvariants:
             TruncationPolicy(max_level=-1)
         with pytest.raises(ValueError):
             TruncationPolicy(tail_tol=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_level": -1}, "trunc.max_level must be >= 0"),
+            ({"tail_tol": 0.0}, "trunc.tail_tol must lie in (0, 1)"),
+            ({"tail_tol": 1.0}, "trunc.tail_tol must lie in (0, 1)"),
+            ({"tail_tol": float("nan")}, "trunc.tail_tol must lie in (0, 1)"),
+        ],
+    )
+    def test_truncation_policy_names_field(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TruncationPolicy(**kwargs)

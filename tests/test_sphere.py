@@ -291,3 +291,14 @@ class TestPatternArrays:
             for p in pat
         ]
         assert pat.to_csv_text() == "\n".join([header, *rows]) + "\n"
+
+    @pytest.mark.parametrize("dim, n", [(1, 0), (1, 30), (2, 1), (2, 30)])
+    def test_upper_distances_cached_and_exact(self, dim, n):
+        pat = random_pattern(dim, n, 14)
+        upper = pat.upper_distances
+        np.testing.assert_array_equal(upper, pairwise_geodesic(pat)[np.triu_indices(n)])
+        assert pat.upper_distances is upper
+        assert upper.shape == (n * (n + 1) // 2,)
+        if n:
+            with pytest.raises(ValueError):
+                upper[0] = 1.0
