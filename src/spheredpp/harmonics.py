@@ -87,7 +87,23 @@ def multiplicity(ell: int, dim: int) -> int:
 
 
 def multiplicities(n_max: int, dim: int) -> np.ndarray:
-    return np.array([multiplicity(ell, dim) for ell in range(n_max + 1)], dtype=float)
+    """m_(l,d) for l = 0..n_max as floats, with the formula of ``multiplicity``.
+
+    binom(l+d-2, l) is built as prod_j (l+j)/j; each step's product is a whole
+    multiple of j, so every value below 2^53 is exact.
+    """
+    if dim < 1:
+        raise ValueError("dimension must be >= 1")
+    ells = np.arange(n_max + 1, dtype=float)
+    if dim == 1:
+        out = np.full(n_max + 1, 2.0)
+        out[:1] = 1.0
+        return out
+    binom = np.ones(n_max + 1)
+    for j in range(1, dim - 1):
+        binom *= ells + j
+        binom /= j
+    return (2.0 * ells + dim - 1.0) * binom / (dim - 1.0)
 
 
 def index_set(ell: int, dim: int) -> list:

@@ -4,6 +4,8 @@ Families (radial correlation psi, or a direct spectrum):
 
   * multiquadric: psi(s) = ((1-delta)^2 / (1+delta^2-2 delta cos s))^tau,
     the negative-binomial Schoenberg family with p = 2 delta/(1+delta^2);
+    its d-Schoenberg coefficients come from one backward three-term
+    recurrence for every (tau, delta, d), with no quadrature;
   * spectral: eigenvalues lambda_(l,d) = 1/(1 + beta exp((l/alpha)^kappa));
   * most_repulsive: eigenvalues filled to 1 level by level until the
     target expected count eta is reached;
@@ -12,6 +14,9 @@ Families (radial correlation psi, or a direct spectrum):
   * askey / c2_wendland / c4_wendland / spherical: compactly supported
     correlations with closed-form 1-Schoenberg coefficients (spherical:
     numeric only).
+
+Matern and spherical invert psi by quadrature.  The multiquadric and the
+spectral family are cut by ``truncate_levels``, under one tail rule.
 
 A DPP is specified either through its kernel C_0 = rho * psi with
 rho <= rho_max ("kernel" mode) or through the density kernel
@@ -87,19 +92,41 @@ def multiquadric_beta0_s2(tau: float, delta: float) -> float:
     )
 
 
-def truncate_levels(levels, counts, trunc: TruncationPolicy):
+def _approaches(ratios, limit: float) -> bool:
+    """Whether successive term ratios move monotonically toward ``limit``
+    (up to rounding), from one side.
+
+    Ratios that keep doing so past the evaluated levels stay between the
+    last one checked and ``limit``.  This is checked per call, not proved.
+    """
+    if len(ratios) < 3:
+        return False
+    gap = np.asarray(ratios, dtype=float) - limit
+    slack = 1e-12 * abs(float(ratios[-1]))
+    one_side = bool(np.all(gap >= -slack) or np.all(gap <= slack))
+    return one_side and bool(np.all(np.diff(np.abs(gap)) <= slack))
+
+
+def truncate_levels(series, trunc: TruncationPolicy):
     """(values of levels 0..L, tail_L) for the smallest L with
     tail_L <= tail_tol * (represented_L + tail_L), in expected points.
 
-    ``levels(n)`` gives the values of levels 0..n, and ``counts(values)`` their
-    expected counts and, per level, an upper bound on the count past it (inf
-    where none holds).  The level count doubles from 64 up to max_level;
-    reaching it first raises TruncationError.
+    ``series(n)`` gives, for levels 0..n, their values, their expected counts,
+    an upper bound b_l on each count, and a ratio rho that bounds b_(l+1)/b_l
+    past level n (None where none is known).  tail_L is the exact suffix sum
+    of b over the evaluated levels past L, plus the geometric bound
+    b_n rho / (1 - rho) past level n; without rho < 1 - 1e-9 that n gives no
+    cut.  The level count doubles from 64 up to max_level; reaching it first
+    raises TruncationError.
     """
     n_max = min(64, trunc.max_level)
     while True:
-        values = levels(n_max)
-        terms, tails = counts(values)
+        values, terms, bounds, rho = series(n_max)
+        beyond = math.inf
+        if rho is not None and rho < 1.0 - 1e-9:
+            beyond = bounds[-1] * rho / (1.0 - rho)
+        suffix = np.cumsum(bounds[::-1])[::-1]  # suffix[l] = sum of bounds from l on
+        tails = np.append(suffix[1:], 0.0) + beyond
         represented = np.cumsum(terms)
         cut = np.flatnonzero(np.isfinite(tails) & (tails <= trunc.tail_tol * (represented + tails)))
         if len(cut):
@@ -112,6 +139,49 @@ def truncate_levels(levels, counts, trunc: TruncationPolicy):
         n_max = min(2 * n_max, trunc.max_level)
 
 
+_RESCALE_BITS = 500  # the recurrence's running values stay within 2^(+-500)
+
+
+def _multiquadric_weights(tau: float, delta: float, dim: int, top: int):
+    """Unnormalized beta_(k,d) for k = 0..top, as arrays (mant, expo) with
+    beta_k proportional to mant_k 2^expo_k; mant is np.longdouble.
+
+    Miller's backward recurrence (see ``multiquadric_d_schoenberg``) from
+    beta_(top+1) = 0 and beta_top = 1, in the form
+    beta_k = (beta_(k+1) + delta (delta beta_(k+1) - P_k beta_(k+2))) / (delta Q_k),
+    which never rounds 1 + delta^2: a rounded coefficient there would move the
+    decay ratio off delta and drift the coefficients by an ulp per level.
+    Rounding still adds up over the levels (about 100 ulps of beta_0 at
+    delta = 0.965 in double precision), so the recurrence runs in
+    np.longdouble: with x86's 64-bit mantissas beta_0 comes out correctly
+    rounded; where longdouble is double, the errors are those 100 ulps.
+    delta Q_k is split into a mantissa and a power of two, and the running
+    values are rescaled by powers of two, both exact, so no delta or tau
+    under- or overflows the recurrence.
+    """
+    ext = np.longdouble
+    lam = ext(dim - 1) / 2
+    tau, delta = ext(tau), ext(delta)
+    k = np.arange(top + 1, dtype=ext)
+    q = np.full(top + 1, 2 * tau)  # Q_0 = 2 tau, also the limit lam -> 0 on S^1
+    q[1:] = (k[1:] + tau) * (k[1:] + 2 * lam) / ((k[1:] + lam) * (k[1:] + 1))
+    p = (k + 2 * lam + 2 - tau) * (k + 2) / ((k + lam + 2) * (k + 2 * lam + 1))
+    div, shift = np.frexp(delta * q)  # delta Q_k = div_k 2^shift_k
+    div, p, unshift = list(div), list(p), list(np.ldexp(ext(1), shift))
+    high, low = np.ldexp(ext(1), _RESCALE_BITS), np.ldexp(ext(1), -_RESCALE_BITS)
+    shift = shift.tolist()
+    mant, expo = [ext(1)] * (top + 1), [0] * (top + 1)
+    b1, b2, e = ext(1), ext(0), 0  # beta_(i+1) and beta_(i+2) in units of 2^e
+    for i in range(top - 1, -1, -1):
+        b0 = (b1 + delta * (delta * b1 - p[i] * b2)) / div[i]
+        b2, b1, e = b1 * unshift[i], b0, e - shift[i]
+        if not low <= b1 <= high:
+            step = _RESCALE_BITS if b1 > high else -_RESCALE_BITS
+            b1, b2, e = np.ldexp(b1, -step), np.ldexp(b2, -step), e + step
+        mant[i], expo[i] = b1, e
+    return np.array(mant), np.array(expo)
+
+
 def multiquadric_d_schoenberg(
     tau: float,
     delta: float,
@@ -121,42 +191,54 @@ def multiquadric_d_schoenberg(
 ) -> DSchoenbergSeq:
     """d-Schoenberg coefficients of the multiquadric correlation.
 
-    For tau = (d-1)/2 (d >= 2) the exact closed form
-    beta_(l,d) = binom(l+d-2, l) delta^l (1-delta)^(d-1) applies; otherwise
-    the closed-form psi is inverted by quadrature, and ``truncate_levels``
-    cuts the series.  Kernel mode (chi None) counts eta beta, so eta cancels
-    and the tail is 1 - sum beta (psi(0) = 1).  Density mode counts m lambda,
-    lambda~ = chi sigma_d beta / m, with the bound chi sigma_d (1 - sum beta).
+    With lam = (d-1)/2, (1 + delta^2 - 2 delta x) psi' = 2 tau delta psi gives
+    a three-term recurrence in the level, for every d >= 1:
+
+        delta Q_k beta_k = (1 + delta^2) beta_(k+1) - delta P_k beta_(k+2),
+        Q_k = (k + tau)(k + 2 lam) / ((k + lam)(k + 1)),  Q_0 = 2 tau,
+        P_k = (k + 2 lam + 2 - tau)(k + 2) / ((k + lam + 2)(k + 2 lam + 1)).
+
+    The coefficients are its solution that decays like delta^k (the other
+    grows like delta^-k).  Miller's algorithm (Gautschi 1967) runs it
+    backward from 20/|ln delta| levels above the last level wanted, where the
+    start's error has shrunk by delta^(2 * 20/|ln delta|) = e^-40, and
+    normalizes by sum beta = psi(0) = 1.  One route serves every tau, delta
+    and d; no quadrature is involved.  A delta so close to 1 that the start
+    lies more than 16 max_level levels up raises TruncationError at once.
+
+    ``truncate_levels`` cuts the series.  Kernel mode (chi None) counts
+    eta beta, so eta cancels; density mode counts m lambda with
+    lambda~ = chi sigma_d beta / m, each at most chi sigma_d beta.  The ratios
+    r_k = beta_(k+1)/beta_k approach delta monotonically, since
+    beta_k ~ k^(tau+lam-1) delta^k: from below when tau + lam < 1, from above
+    when tau + lam > 1.  That is checked per call, and rho = max(r_n, delta)
+    then bounds every ratio from the last evaluated level n on (r_n..r_(n+2)
+    are checked).
     """
     _check_multiquadric(tau, delta)
-    if dim >= 2 and tau == (dim - 1) / 2.0:
+    lead = math.floor(20.0 / -math.log(delta)) + 1  # delta^(2 lead) < e^-40
+    if lead > 16 * max(trunc.max_level, 64):
+        raise TruncationError(
+            f"delta = {delta!r} is too close to 1: the coefficient recurrence would start "
+            f"{lead} levels above the cut, more than 16 x max_level={trunc.max_level}"
+        )
+    scale = 1.0 if chi is None else chi * surface_measure(dim)
 
-        def levels(n_max):
-            ells = np.arange(n_max + 1)
-            binom = np.ones(n_max + 1)  # binom(l + d - 2, d - 2) = prod_j (l + j) / j
-            for j in range(1, dim - 1):
-                binom *= (ells + j) / j
-            return binom * delta**ells * (1.0 - delta) ** (dim - 1)
-
-    else:
-        psi = multiquadric_psi(tau, delta)
-
-        def levels(n_max):
-            return d_schoenberg_from_psi(psi, dim, n_max).values
-
-    def mass_tails(beta):
-        return np.maximum(1.0 - np.cumsum(beta), 0.0)  # rounding can take it below 0
-
-    def counts(beta):
+    def series(n):
+        mant, expo = _multiquadric_weights(tau, delta, dim, n + 2 + lead)
+        weights = np.ldexp(mant, expo - expo.max())
+        beta = (weights[: n + 1] / np.sum(weights)).astype(float)
+        # r_k = beta_(k+1) / beta_k for k = n..n+2
+        ratios = np.ldexp(mant[n + 1 : n + 4] / mant[n : n + 3], np.diff(expo[n : n + 4]))
+        rho = max(float(ratios[0]), delta) if _approaches(ratios, delta) else None
         if chi is None:
-            return beta, mass_tails(beta)
-        chi_sigma = chi * surface_measure(dim)
-        m = multiplicities(len(beta) - 1, dim)
-        lam_tilde = chi_sigma * beta / m
-        return m * (lam_tilde / (1.0 + lam_tilde)), chi_sigma * mass_tails(beta)
+            return beta, beta, beta, rho
+        m = multiplicities(n, dim)
+        lam_tilde = scale * beta / m
+        return beta, m * (lam_tilde / (1.0 + lam_tilde)), scale * beta, rho
 
-    values, _ = truncate_levels(levels, counts, trunc)
-    return DSchoenbergSeq(dim, values, tail_bound=float(mass_tails(values)[-1]))
+    values, tail = truncate_levels(series, trunc)
+    return DSchoenbergSeq(dim, values, tail_bound=tail / scale)
 
 
 def multiquadric_eta_max(tau: float, delta: float, dim: int) -> float:
@@ -187,23 +269,16 @@ def spectral_model_spectrum(
     if alpha <= 0 or beta <= 0 or kappa <= 0:
         raise ValueError("alpha, beta, kappa must all be positive")
 
-    def levels(n_max):
+    def series(n):
         with np.errstate(over="ignore"):  # lambda is 0 where exp overflows
-            return 1.0 / (1.0 + beta * np.exp((np.arange(n_max + 1) / alpha) ** kappa))
+            lam = 1.0 / (1.0 + beta * np.exp((np.arange(n + 1) / alpha) ** kappa))
+        terms = multiplicities(n, dim) * lam
+        if terms[-1] == 0.0:  # the terms decrease to 0: nothing lies past them once they underflow
+            return lam, terms, terms, 0.0
+        ratios = terms[1:][-3:] / terms[:-1][-3:]
+        return lam, terms, terms, ratios[-1] if _approaches(ratios, 0.0) else None
 
-    def counts(lam):
-        terms = multiplicities(len(lam) - 1, dim) * lam
-        # past the evaluated levels: 0 once the decreasing terms underflow, else a
-        # geometric bound, valid once the term ratios are below 1 and decreasing
-        beyond = 0.0 if terms[-1] == 0.0 else math.inf
-        if beyond and len(terms) >= 4:
-            r1, r2, r3 = terms[-3:] / terms[-4:-1]
-            if r3 < 1.0 - 1e-9 and r3 <= r2 <= r1:
-                beyond = terms[-1] * r3 / (1.0 - r3)
-        suffix = np.cumsum(terms[::-1])[::-1]  # suffix[l] = sum of terms from l on
-        return terms, np.append(suffix[1:], 0.0) + beyond
-
-    values, tail = truncate_levels(levels, counts, trunc)
+    values, tail = truncate_levels(series, trunc)
     return MercerSpectrum(dim, "kernel", values, tail_bound=tail)
 
 

@@ -86,7 +86,11 @@ class SchoenbergSeq:
 
 @dataclass(frozen=True)
 class DSchoenbergSeq:
-    """d-Schoenberg probability masses beta_(l,d) on a fixed S^d."""
+    """d-Schoenberg probability masses beta_(l,d) on a fixed S^d.
+
+    tail_bound bounds the mass past the last level; as a bound it may exceed
+    1 - sum(values), so only the represented mass is checked against 1.
+    """
 
     dim: int
     values: np.ndarray
@@ -101,8 +105,8 @@ class DSchoenbergSeq:
         if np.any(vals < -1e-12):
             raise ValueError("d-Schoenberg coefficients must be nonnegative")
         object.__setattr__(self, "values", np.maximum(vals, 0.0))
-        if float(np.sum(self.values)) + self.tail_bound > 1.0 + 1e-9:
-            raise ValueError("total mass (including tail) exceeds 1")
+        if float(np.sum(self.values)) > 1.0 + 1e-9:
+            raise ValueError("total mass exceeds 1")
 
     def __len__(self):
         return len(self.values)

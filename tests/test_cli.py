@@ -272,6 +272,16 @@ class TestModelValidation:
         assert code == 1
         assert "trunc.max_level" in err
 
+    def test_density_tail_past_max_level_exits_1(self, tmp_path, capsys):
+        # once cut at 58 levels with every lambda = 1, declared no tail and exited 0
+        model = tmp_path / "m.json"
+        data = {k: v for k, v in self.MQ.items() if k != "eta"}
+        data = dict(data, mode="density", chi=1e307, trunc={"max_level": 300})
+        model.write_text(json.dumps(data))
+        assert run(["coeffs", "--model", str(model), "--out", str(tmp_path / "c.csv")]) == 1
+        assert "max_level=300" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
     @pytest.mark.parametrize("command", ["coeffs", "loglik", "mle"])
     def test_chi_overflowing_sigma_names_chi(self, tmp_path, capsys, command):
         # chi * sigma_2 overflows: once this printed eta = nan and exited 0

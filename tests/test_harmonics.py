@@ -8,6 +8,7 @@ from spheredpp.harmonics import (
     gegenbauer_at_one,
     gegenbauer_rows,
     index_set,
+    multiplicities,
     multiplicity,
     norm_plm_table,
     plm_sq,
@@ -192,6 +193,18 @@ class TestMultiplicity:
         for ell in range(0, 30):
             expected = (2 * ell + dim - 1) * comb(ell + dim - 2, ell) // (dim - 1)
             assert multiplicity(ell, dim) == expected
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_vector_form_exact(self, dim):
+        table = multiplicities(4096, dim)
+        assert table.dtype == float and table.shape == (4097,)
+        assert table.tolist() == [float(multiplicity(ell, dim)) for ell in range(4097)]
+
+    def test_vector_form_short_and_invalid(self):
+        assert multiplicities(0, 3).tolist() == [1.0]
+        assert multiplicities(-1, 2).tolist() == []
+        with pytest.raises(ValueError):
+            multiplicities(4, 0)
 
     def test_index_set_sizes(self):
         for dim in (1, 2):

@@ -1,9 +1,12 @@
-"""The benchmark's command paths run on numpy alone.
+"""The benchmark's command paths run on numpy alone, and without quadrature.
 
 scipy is loaded only by the Matern kernel with nu < 1/2 (``matern_psi``) and
-by the tests.  The check runs in a fresh interpreter, because this test
-process has imported scipy already.  The models and the fit pattern are the
-benchmark's own (``perfbench/inputs.py``, standard library and numpy only).
+by the tests.  Gauss-Legendre nodes are built only for the families whose
+coefficients come from quadrature (Matern and the compactly supported ones),
+so the benchmark's models leave the node cache empty.  The check runs in a
+fresh interpreter, because this test process has imported scipy already.
+The models and the fit pattern are the benchmark's own
+(``perfbench/inputs.py``, standard library and numpy only).
 """
 
 import json
@@ -21,6 +24,7 @@ import json, sys
 
 import spheredpp, spheredpp.cli
 from spheredpp import load_model, resolve, substream
+from spheredpp.spectra import _gl_nodes
 from spheredpp.sampler import draw_bernoulli_basis
 
 def scipy_modules():
@@ -48,6 +52,7 @@ for argv in commands:
     if spheredpp.cli.run(argv) != 0:
         sys.exit("command failed: " + " ".join(argv))
 loaded["commands"] = scipy_modules()
+loaded["quadrature_node_sets"] = _gl_nodes.cache_info().currsize
 print(json.dumps(loaded))
 """
 
@@ -58,4 +63,4 @@ def test_command_paths_load_no_scipy(tmp_path):
     proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     loaded = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert loaded == {"import": [], "resolve": [], "commands": []}
+    assert loaded == {"import": [], "resolve": [], "commands": [], "quadrature_node_sets": 0}

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 
@@ -39,6 +40,113 @@ from spheredpp.spectra import (
 from spheredpp.sphere import surface_measure
 
 
+@functools.lru_cache(maxsize=None)
+def _cohl_beta(tau, delta, dim, n_levels):
+    """beta_(n,d) of the multiquadric for n < n_levels, from Cohl's series
+
+        (1 - delta)^(2 tau) (tau)_n (2 lam)_n / ((lam)_n n!) delta^n
+            2F1(tau - lam, n + tau; n + lam + 1; delta^2),   lam = (d-1)/2,
+
+    summed term by term in scalar Python, independently of the package's
+    recurrence.  On S^1 (lam -> 0) the factor (2 lam)_n / (lam)_n is 2 for n >= 1.
+    """
+    lam = (dim - 1) / 2.0
+    z = delta * delta
+    pre = (1.0 - delta) ** (2.0 * tau)
+    out = []
+    for n in range(n_levels):
+        if n > 0:
+            pochhammer_ratio = (2.0 * lam + n - 1.0) / (lam + n - 1.0) if lam + n > 1.0 else 2.0
+            pre *= (tau + n - 1.0) / n * pochhammer_ratio * delta
+        a, b, c = tau - lam, n + tau, n + lam + 1.0
+        term = total = 1.0
+        k = 0
+        while abs(term) > 1e-17 * abs(total):
+            term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
+            total += term
+            k += 1
+        out.append(pre * total)
+    return np.array(out)
+
+
+class TestCohlOracle:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("tau", [0.25, 1.0, 10.0])
+    @pytest.mark.parametrize("delta", [0.3, 0.6, 0.9])
+    def test_resolve_matches_series(self, dim, tau, delta):
+        spec = ModelSpec(
+            "multiquadric", {"tau": tau, "delta": delta}, dim, rho=1.0 / surface_measure(dim)
+        )
+        beta = resolve(spec).correlation_beta.values
+        expected = _cohl_beta(tau, delta, dim, len(beta))
+        np.testing.assert_allclose(beta, expected, rtol=1e-12)
+
+    def test_oracle_reproduces_closed_forms(self):
+        ells = np.arange(40)
+        np.testing.assert_allclose(_cohl_beta(0.5, 0.6, 2, 40), 0.4 * 0.6**ells, rtol=1e-13)
+        beta0 = multiquadric_beta0_s2(1.0, 0.5)
+        assert _cohl_beta(1.0, 0.5, 2, 1)[0] == pytest.approx(beta0, rel=1e-14)
+
+
+class TestMultiquadricFoundCases:
+    """Density-mode multiquadrics whose tails once rounded to 0.
+
+    Each either cuts with a represented count within tail_tol of the exact
+    one, and declares at least the count it leaves out, or raises
+    TruncationError.
+    """
+
+    ROUNDING = 1e-15
+
+    @pytest.mark.parametrize("chi", [1e12, 1e15])
+    def test_tau_half_large_chi(self, chi):
+        spec = ModelSpec(
+            "multiquadric", {"tau": 0.5, "delta": 0.5}, 2, "density", chi=chi
+        )
+        exact = _density_count(0.5 * 0.5 ** np.arange(2000), chi, 2)
+        kernel = resolve(spec).kernel
+        represented = float(np.sum(kernel.mults * kernel.values))
+        assert represented >= (1.0 - spec.trunc.tail_tol - self.ROUNDING) * exact
+        assert exact - represented <= kernel.tail_bound + self.ROUNDING * exact
+
+    def test_chi_1e307_needs_more_than_max_level(self):
+        # past level 300, beta_l ~ 2^-l l^0.5 carries about 1e218 expected points
+        # at chi sigma_2 ~ 1e308, so no cut at max_level = 300 can hold
+        spec = ModelSpec(
+            "multiquadric", {"tau": 1.0, "delta": 0.5}, 2, "density", chi=1e307,
+            trunc=TruncationPolicy(max_level=300),
+        )
+        with pytest.raises(TruncationError):
+            resolve(spec)
+
+    def test_delta_near_one_raises(self):
+        spec = ModelSpec("multiquadric", {"tau": 1.0, "delta": 0.999}, 2, rho=1.0 / SIGMA2)
+        with pytest.raises(TruncationError):
+            resolve(spec)
+
+    @pytest.mark.parametrize("delta", [1 - 1e-6, 1 - 1e-12])
+    def test_delta_at_one_raises_without_work(self, delta):
+        # the recurrence would start 2e7 or 2e13 levels up: refused before any
+        spec = ModelSpec("multiquadric", {"tau": 1.0, "delta": delta}, 2, rho=1.0 / SIGMA2)
+        with pytest.raises(TruncationError, match="too close to 1"):
+            resolve(spec)
+
+    @pytest.mark.parametrize("delta", [1e-200, 1e-12, 1e-3])
+    @pytest.mark.parametrize("mode", ["kernel", "density"])
+    def test_small_delta_resolves(self, delta, mode):
+        # numpy floating-point warnings are errors in this suite
+        extra = {"rho": 1.0 / SIGMA2} if mode == "kernel" else {"chi": 1.0}
+        spec = ModelSpec("multiquadric", {"tau": 1.0, "delta": delta}, 2, mode, **extra)
+        model = resolve(spec)
+        beta0 = _cohl_beta(1.0, delta, 2, 1)[0]
+        if mode == "kernel":
+            assert model.correlation_beta.values[0] == pytest.approx(beta0, rel=1e-12)
+        else:
+            assert model.density.values[0] == pytest.approx(SIGMA2 * beta0, rel=1e-12)
+        kernel = model.kernel
+        assert np.all(np.isfinite(kernel.values)) and math.isfinite(kernel.tail_bound)
+
+
 class TestMultiquadric:
     def test_tau_half_closed_form(self):
         beta = multiquadric_d_schoenberg(0.5, 0.6, 2)
@@ -56,7 +164,7 @@ class TestMultiquadric:
         assert value == pytest.approx(0.25 * math.log(3.0), rel=1e-14)
 
     def test_beta0_matches_conversion(self):
-        # general tau: the quadrature level-0 mass agrees with the closed form
+        # general tau: the recurrence's level-0 mass agrees with the closed form
         for tau, delta in [(0.5, 0.2), (2.0, 0.5), (3.7, 0.4)]:
             beta = multiquadric_d_schoenberg(tau, delta, 2, TruncationPolicy(tail_tol=1e-10))
             assert beta.values[0] == pytest.approx(
@@ -426,9 +534,8 @@ def _mq_density(tau, delta, chi, trunc):
 
 
 # (spec, the model's full expected count); tau = 1/2 has closed-form
-# coefficients (1 - delta) delta^l on S^2, so its reference needs no
-# quadrature.  The tau = 10 fit-grid model runs at the default tolerance,
-# since its quadrature coefficients carry errors near 1e-12.
+# coefficients (1 - delta) delta^l on S^2, and the tau = 10 fit-grid model's
+# reference comes from Cohl's series.
 CONTRACT_CASES = {
     "mq-kernel-tau10": (
         ModelSpec("multiquadric", {"tau": 10.0, "delta": 0.74}, 2, rho=100.0 / SIGMA2, trunc=TIGHT),
@@ -447,10 +554,8 @@ CONTRACT_CASES = {
     },
     **{
         f"mq-density-tau10-chi{chi:g}": (
-            _mq_density(10.0, 0.74, chi, TruncationPolicy()),
-            lambda chi=chi: _density_count(
-                d_schoenberg_from_psi(multiquadric_psi(10.0, 0.74), 2, 512).values, chi, 2
-            ),
+            _mq_density(10.0, 0.74, chi, TIGHT),
+            lambda chi=chi: _density_count(_cohl_beta(10.0, 0.74, 2, 512), chi, 2),
         )
         for chi in (1.0, 30.0, 1000.0)
     },
