@@ -14,7 +14,10 @@ the complex spherical harmonics are
             = sqrt((2l+1)/(4 pi) * (l-k)!/(l+k)!) P_l^(k)(cos colat) e^(i k lon),
           k in {-l, ..., l}.
 
-``gegenbauer_rows`` is the one Gegenbauer evaluator.  The normalized
+``gegenbauer_rows`` yields the Gegenbauer levels one at a time, for the
+coefficient quadrature and the Gauss-Legendre nodes; radial series are summed
+by ``spectra.eval_radial_series``, Clenshaw's backward recurrence in Reinsch's
+form, which needs no level as an array.  The normalized
 associated-Legendre recurrence runs as a whole table (``norm_plm_table``,
 from which ``sampler.ProjectionBasis.eval_matrix`` assembles the Y above) or
 per (l, m) entry (``plm_sq``, for the sampler's colatitude draws).

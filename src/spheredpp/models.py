@@ -206,6 +206,16 @@ def multiquadric_d_schoenberg(
     and d; no quadrature is involved.  A delta so close to 1 that the start
     lies more than 16 max_level levels up raises TruncationError at once.
 
+    The recurrence runs once per call.  ``truncate_levels`` first cuts the
+    large-k form of the coefficients (``_multiquadric_log_asymptote``), which
+    costs no recurrence; the exact run then starts lead levels above the
+    level count at which that cut was found (max_level when none was), and
+    every level count the exact cut tries is a slice of that run.  Only a
+    cut the prediction placed too low runs the recurrence again, from the
+    level count that needs it.  The prediction raises nothing: for large tau
+    it overshoots (5036 levels for tau = 100, delta = 0.97 on S^1, which cuts
+    at 2328), so it cannot refuse a model.
+
     ``truncate_levels`` cuts the series.  Kernel mode (chi None) counts
     eta beta, so eta cancels; density mode counts m lambda with
     lambda~ = chi sigma_d beta / m, each at most chi sigma_d beta.  The ratios
@@ -224,21 +234,65 @@ def multiquadric_d_schoenberg(
         )
     scale = 1.0 if chi is None else chi * surface_measure(dim)
 
-    def series(n):
-        mant, expo = _multiquadric_weights(tau, delta, dim, n + 2 + lead)
-        weights = np.ldexp(mant, expo - expo.max())
-        beta = (weights[: n + 1] / np.sum(weights)).astype(float)
-        # r_k = beta_(k+1) / beta_k for k = n..n+2
-        ratios = np.ldexp(mant[n + 1 : n + 4] / mant[n : n + 3], np.diff(expo[n : n + 4]))
+    def cut_terms(beta, ratios):
+        # ratios: r_k = beta_(k+1) / beta_k for k = n..n+2
         rho = max(float(ratios[0]), delta) if _approaches(ratios, delta) else None
         if chi is None:
             return beta, beta, beta, rho
-        m = multiplicities(n, dim)
+        m = multiplicities(len(beta) - 1, dim)
         lam_tilde = scale * beta / m
         return beta, m * (lam_tilde / (1.0 + lam_tilde)), scale * beta, rho
 
+    stages = []
+
+    def predicted(n):
+        stages.append(n)
+        log_beta = _multiquadric_log_asymptote(tau, delta, dim, n + 3)
+        return cut_terms(np.exp(log_beta[: n + 1]), np.exp(np.diff(log_beta[n:])))
+
+    try:
+        truncate_levels(predicted, trunc)
+    except TruncationError:
+        pass  # no cut predicted by max_level: the run reaches it, and the cut below decides
+
+    beta, ratios = _multiquadric_beta(tau, delta, dim, stages[-1] + 2 + lead)
+
+    def series(n):
+        nonlocal beta, ratios
+        if len(beta) < n + 3 + lead:  # the prediction fell short: run again from higher up
+            beta, ratios = _multiquadric_beta(tau, delta, dim, n + 2 + lead)
+        return cut_terms(beta[: n + 1], ratios[n : n + 3])
+
     values, tail = truncate_levels(series, trunc)
     return DSchoenbergSeq(dim, values, tail_bound=tail / scale)
+
+
+def _multiquadric_beta(tau: float, delta: float, dim: int, top: int):
+    """beta_(k,d) for k = 0..top from one run of the recurrence, normalized over
+    every level it reaches, and the ratios beta_(k+1,d) / beta_(k,d)."""
+    mant, expo = _multiquadric_weights(tau, delta, dim, top)
+    weights = np.ldexp(mant, expo - expo.max())
+    ratios = np.ldexp(mant[1:] / mant[:-1], np.diff(expo))
+    return (weights / np.sum(weights)).astype(float), ratios
+
+
+def _multiquadric_log_asymptote(tau: float, delta: float, dim: int, top: int) -> np.ndarray:
+    """log of the large-k form of beta_(k,d), k = 0..top, for predicting the cut.
+
+    Cohl's series beta_k = (1-delta)^(2tau) (tau)_k (2lam)_k / ((lam)_k k!) delta^k
+    2F1(tau-lam, k+tau; k+lam+1; delta^2) (with 2 (tau)_k / k! on S^1, k >= 1),
+    with the 2F1 replaced by its k -> infinity limit (1-delta^2)^(lam-tau).  It is
+    exact when tau = lam and decays like delta^k k^(tau+lam-1), as beta_k does.
+    """
+    lam = (dim - 1) / 2.0
+    k = np.arange(1, top + 1, dtype=float)
+    steps = math.log(delta) + np.log((k - 1.0 + tau) / k)
+    if lam > 0.0:
+        steps += np.log((k - 1.0 + 2.0 * lam) / (k - 1.0 + lam))
+    else:
+        steps[0] += math.log(2.0)
+    log_scale = 2.0 * tau * math.log1p(-delta) + (lam - tau) * math.log1p(-delta * delta)
+    return log_scale + np.concatenate(([0.0], np.cumsum(steps)))
 
 
 def multiquadric_eta_max(tau: float, delta: float, dim: int) -> float:

@@ -26,7 +26,7 @@ from math import comb, lgamma
 
 import numpy as np
 
-from .harmonics import gegenbauer_at_one, gegenbauer_rows, multiplicities, multiplicity
+from .harmonics import gegenbauer_rows, multiplicities, multiplicity
 from .sphere import surface_measure
 
 
@@ -505,19 +505,68 @@ def from_density_kernel(spec: MercerSpectrum) -> MercerSpectrum:
 
 
 def eval_radial_series(coeffs, dim: int, s):
-    """sum_l c_l * C_l^((d-1)/2)(cos s) / C_l^((d-1)/2)(1) at geodesic distances s.
+    """sum_l c_l R_l(cos s) at distances s, with R_l = C_l^(lam) / C_l^(lam)(1)
+    and lam = (d-1)/2 (R_l(cos s) = cos(l s) on S^1).
 
-    Each level is added as the Gegenbauer recurrence produces it, so
-    memory stays O(s.size) whatever the number of levels.
+    Clenshaw's backward sum in Reinsch's form, for every d.  The normalized
+    polynomials satisfy R_(k+1) = A_k x R_k - B_k R_(k-1) with
+    A_k = 2(k+lam)/(k+2lam), B_k = k/(k+2lam) (A_0 = 1, B_0 = 0), and
+    A_k - B_k = 1 because every R_k(1) = 1.  So the Clenshaw sums
+    b_k = c_k + A_k x b_(k+1) - B_(k+1) b_(k+2) split, through
+    e_k = b_k - B_k b_(k+1), into
+
+        e_k = c_k + (A_k / 2) w b_(k+1) + e_(k+1),   b_k = e_k + B_k b_(k+1),
+
+    with w = 2(x - 1) = -4 sin^2(s/2) and the sum e_0.  Near x = 1 the b_k
+    grow like k^2, but they enter only through w b, which stays small: plain
+    Clenshaw loses about a factor L^2 there.  Points with cos s < 0 use
+    R_k(-x) = (-1)^k R_k(x): they are summed at pi - s, where
+    w = -4 cos^2(s/2), with alternating coefficients.  b is carried as
+    b_k / prod_(j=k..L) B_j, so each level is four in-place passes over the
+    points on S^1 (where A_k = 2 and B_k = 1 past level 0) and six
+    otherwise.  Memory is five arrays of s.size, whatever the level count.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    arr = np.atleast_1d(np.asarray(s, dtype=float))
+    arr = np.asarray(s, dtype=float)
+    flat = arr.reshape(-1)
+    n_top, n = len(coeffs) - 1, flat.size
+    if n_top < 0 or n == 0:
+        out = np.zeros(arr.shape)
+        return float(out) if arr.ndim == 0 else out
     lam = (dim - 1) / 2.0
-    out = np.zeros_like(arr)
-    rows = gegenbauer_rows(len(coeffs) - 1, lam, arr)
-    for ell, (c, row) in enumerate(zip(coeffs, rows)):
-        out += (c / gegenbauer_at_one(ell, lam)) * row
-    return float(out[0]) if np.ndim(s) == 0 else out
+    k = np.arange(1, n_top + 1, dtype=float)
+    half_a = np.append(0.5, (k + lam) / (k + 2.0 * lam))  # A_k / 2
+    b_scale = np.ones(n_top + 2)  # prod_(j=k..L) B_j for k >= 1, and 1 past L
+    b_scale[1:-1] = np.cumprod((k / (k + 2.0 * lam))[::-1])[::-1]
+    gain = half_a * b_scale[1:]  # (A_k / 2) prod_(j=k+1..L) B_j
+    unscale = 1.0 / b_scale
+    alternating = coeffs.copy()  # R_k(-x) = (-1)^k R_k(x)
+    alternating[1::2] *= -1.0
+
+    neg = np.cos(flat) < 0.0
+    order = np.concatenate((np.flatnonzero(~neg), np.flatnonzero(neg)))
+    n_pos = n - int(np.count_nonzero(neg))
+    w = flat[order]
+    w *= 0.5
+    np.sin(w[:n_pos], out=w[:n_pos])
+    np.cos(w[n_pos:], out=w[n_pos:])
+    w *= w
+    w *= -4.0
+    b, e, t = np.zeros(n), np.zeros(n), np.empty(n)
+    for ell in range(n_top, -1, -1):  # a factor of exactly 1 costs no pass
+        np.multiply(w, b, out=t)
+        if gain[ell] != 1.0:
+            t *= gain[ell]
+        e += t
+        e[:n_pos] += coeffs[ell]
+        e[n_pos:] += alternating[ell]
+        if unscale[ell] != 1.0:
+            np.multiply(e, unscale[ell], out=t)
+            b += t
+        else:
+            b += e
+    b[order] = e  # b is free now; it takes the sums back in the caller's order
+    return float(b[0]) if arr.ndim == 0 else b.reshape(arr.shape)
 
 
 def eval_psi_series(beta_d: DSchoenbergSeq, s):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spheredpp import models
 from spheredpp.diagnostics import local_repulsiveness
 from spheredpp.harmonics import multiplicities
 from spheredpp.models import (
@@ -145,6 +146,62 @@ class TestMultiquadricFoundCases:
             assert model.density.values[0] == pytest.approx(SIGMA2 * beta0, rel=1e-12)
         kernel = model.kernel
         assert np.all(np.isfinite(kernel.values)) and math.isfinite(kernel.tail_bound)
+
+
+class TestMultiquadricOneRun:
+    """The coefficient recurrence runs once per resolve, from the predicted cut."""
+
+    @pytest.fixture
+    def tops(self, monkeypatch):
+        calls = []
+        weights = models._multiquadric_weights
+
+        def counted(tau, delta, dim, top):
+            calls.append(top)
+            return weights(tau, delta, dim, top)
+
+        monkeypatch.setattr(models, "_multiquadric_weights", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "tau, delta, chi, levels",
+        [
+            (1.0, 0.9654362879120054, None, 439),  # the benchmark's mq1-400
+            (10.0, 0.7416437737576226, None, 96),  # mq10-400
+            (10.0, 0.66, 1.0, 69),  # the fit workload's delta grid at chi = 1
+            (10.0, 0.70, 1.0, 80),
+            (10.0, 0.74, 1.0, 95),
+            (10.0, 0.78, 1.0, 115),
+            (10.0, 0.82, 1.0, 144),
+        ],
+    )
+    def test_level_counts_from_one_run(self, tops, tau, delta, chi, levels):
+        beta = multiquadric_d_schoenberg(tau, delta, 2, TruncationPolicy(), chi)
+        assert len(beta.values) == levels
+        assert len(tops) == 1
+
+    def test_prediction_short_of_the_cut_runs_again(self, tops, monkeypatch):
+        expected = multiquadric_d_schoenberg(1.0, 0.9654362879120054, 2).values
+        tops.clear()
+        asymptote = models._multiquadric_log_asymptote
+
+        def early(*args):
+            # e^-40 less weight from level 64 on: the prediction cuts at the first stage
+            log_beta = asymptote(*args)
+            return log_beta - 40.0 * np.minimum(np.arange(len(log_beta)), 64) / 64
+
+        monkeypatch.setattr(models, "_multiquadric_log_asymptote", early)
+        beta = multiquadric_d_schoenberg(1.0, 0.9654362879120054, 2).values
+        lead = math.floor(20.0 / -math.log(0.9654362879120054)) + 1
+        # then the level count doubles as it did before the prediction
+        assert tops == [n + 2 + lead for n in (64, 128, 256, 512)]
+        np.testing.assert_allclose(beta, expected, rtol=1e-14)
+
+    def test_no_predicted_cut_runs_once_to_max_level(self, tops):
+        with pytest.raises(TruncationError):
+            multiquadric_d_schoenberg(1.0, 0.999, 2)
+        lead = math.floor(20.0 / -math.log(0.999)) + 1
+        assert tops == [TruncationPolicy().max_level + 2 + lead]
 
 
 class TestMultiquadric:

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from spheredpp.spectra import (
     correlation_mercer,
     d_schoenberg_from_psi,
     eval_psi_series,
+    eval_radial_series,
     from_density_kernel,
     mercer_from_d,
     rho_max,
@@ -249,6 +251,72 @@ class TestSeriesEvaluation:
         s = math.pi / 3
         closed = ((1 - delta) ** 2 / (1 + delta**2 - 2 * delta * math.cos(s))) ** tau
         assert eval_psi_series(beta, s) == pytest.approx(closed, abs=1e-7)
+
+
+def _generating_function(r, dim, s):
+    """sum_l r^l C_l^(lam)(cos s) in closed form (sum_l r^l cos(l s) on S^1), with
+    1 - 2 r cos s + r^2 = (1-r)^2 + 4 r sin^2(s/2) so that s near 0 keeps its digits."""
+    gap = (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * s) ** 2
+    if dim == 1:
+        return ((1.0 - r) + 2.0 * r * np.sin(0.5 * s) ** 2) / gap
+    return gap ** (-(dim - 1) / 2.0)
+
+
+class TestRadialSeriesEvaluator:
+    """``eval_radial_series`` against closed forms, its shapes, and its memory."""
+
+    R = 0.995
+    # r^L (L+1) (1-r) < 1e-18: the levels past L do not reach the bound below
+    LEVELS = 9000
+    ENDPOINTS = [0.0, 1e-8, 1e-4, math.pi / 2, math.pi - 1e-8, math.pi]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_generating_function_at_endpoints(self, dim):
+        # c_l = r^l C_l(1), so sum c_l C_l(cos s) / C_l(1) is the generating function;
+        # every c_l is positive, so sum |c_l| is the value at s = 0
+        ells = np.arange(self.LEVELS + 1, dtype=float)
+        at_one = np.ones_like(ells)
+        for j in range(1, dim - 1):  # C_l^(lam)(1) = binom(l + 2 lam - 1, l) for integer 2 lam
+            at_one *= (ells + j) / j
+        coeffs = self.R**ells * at_one
+        s = np.concatenate([self.ENDPOINTS, np.random.default_rng(dim).uniform(0, math.pi, 200)])
+        err = np.abs(eval_radial_series(coeffs, dim, s) - _generating_function(self.R, dim, s))
+        assert np.max(err) <= 1e-14 * np.sum(coeffs)
+
+    def test_shapes(self):
+        coeffs = [0.5, 0.3, 0.2]
+        s = np.array([[0.0, 0.4, 2.0], [0.4, 0.0, 1.1], [2.0, 1.1, 0.0]])
+        flat = eval_radial_series(coeffs, 2, s.ravel())
+        for scalar in (0.4, np.float64(0.4), np.array(0.4)):
+            value = eval_radial_series(coeffs, 2, scalar)
+            assert type(value) is float and value == flat[1]
+        matrix = eval_radial_series(coeffs, 2, s)
+        assert matrix.shape == (3, 3) and np.array_equal(matrix.ravel(), flat)
+        assert np.array_equal(matrix, matrix.T)
+        assert eval_radial_series(coeffs, 2, np.empty(0)).shape == (0,)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_empty_and_single_level(self, dim):
+        s = np.array([[0.0, 1.0], [1.0, 3.0]])
+        empty = eval_radial_series([], dim, s)
+        assert empty.shape == (2, 2) and np.all(empty == 0.0)
+        assert eval_radial_series(np.array([]), dim, 0.3) == 0.0
+        np.testing.assert_array_equal(eval_radial_series([0.7], dim, s), np.full((2, 2), 0.7))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_memory_does_not_grow_with_levels(self, dim):
+        # the summation holds a fixed set of arrays of s.size, however many levels
+        n = 44850
+        s = np.random.default_rng(0).uniform(0.0, math.pi, n)
+        peaks = []
+        for levels in (69, 1000):
+            coeffs = 0.99 ** np.arange(levels + 1)
+            tracemalloc.start()
+            eval_radial_series(coeffs, dim, s)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert max(peaks) <= 6 * n * 8
+        assert abs(peaks[1] - peaks[0]) <= 64 * 1001 * 8  # level-sized arrays only
 
 
 class TestAppendixBArgmax:
