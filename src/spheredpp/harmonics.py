@@ -18,9 +18,11 @@ the complex spherical harmonics are
 coefficient quadrature and the Gauss-Legendre nodes; radial series are summed
 by ``spectra.eval_radial_series``, Clenshaw's backward recurrence in Reinsch's
 form, which needs no level as an array.  The normalized
-associated-Legendre recurrence runs as a whole table (``norm_plm_table``,
-from which ``sampler.ProjectionBasis.eval_matrix`` assembles the Y above) or
-per (l, m) entry (``plm_sq``, for the sampler's colatitude draws).
+associated-Legendre recurrence runs in one evaluator, ``norm_plm_rows``, for
+any set of rows (l, m): once per order up to the highest level the rows need,
+at points shared by every row (``sampler.ProjectionBasis.eval_matrix``
+assembles the Y above from it, and ``norm_plm_table`` is every row up to a
+level), or at one set of points per row (the sampler's colatitude draws).
 """
 
 from __future__ import annotations
@@ -171,90 +173,84 @@ def plm_sup_sq(l_max: int) -> np.ndarray:
     return (sup * safety) ** 2
 
 
-def _recurrence_coeffs(ell, m):
-    """Coefficients of the normalized three-term recurrence in the degree,
+def norm_plm_rows(ells, ms, x) -> np.ndarray:
+    """Fully normalized associated Legendre values for rows (l_i, m_i), 0 <= m <= l.
 
-        Pbar_l^m = a (x Pbar_(l-1)^m - b Pbar_(l-2)^m),   l > m,
-
-    shared by ``norm_plm_table`` and ``plm_sq``.  At l = m + 1, b = 0 and
-    a = sqrt(2m + 3), so the first step needs no Pbar_(m-1)^m.
+    Entry [i, c] is Pbar_(l_i)^(m_i)(x[i, c]) = sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!)
+    P_l^(m)(x); ``x`` is (1, C), points shared by every row, or (R, C), one set
+    per row.  From the seed Pbar_m^m = (-1)^m prod_(i<=m) sqrt((2i+1)/(2i))
+    sin^m / sqrt(4 pi), the recurrence Pbar_l^m = a (x Pbar_(l-1)^m - b Pbar_(l-2)^m)
+    runs once per order up to the highest level a row needs there (shared
+    points) or per row to its own level, with a, b computed once per order and
+    step; rows are read off as their levels come up, and l = m takes no step.
+    Every value stays within sqrt((2l+1)/(4 pi)), so high levels do not overflow.
     """
-    ell = np.asarray(ell, dtype=float)
-    m = np.asarray(m, dtype=float)
-    a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
-    b = np.sqrt(((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0))
-    return a, b
+    ells = np.asarray(ells, dtype=int)
+    ms = np.asarray(ms, dtype=int)
+    x = np.asarray(x, dtype=float)
+    if np.any((ms < 0) | (ms > ells)):
+        raise ValueError("associated Legendre rows need 0 <= m <= l")
+    steps = ells - ms
+    i = np.arange(1, int(ms.max(initial=0)) + 1)
+    diag = np.cumprod(-np.sqrt((2.0 * i + 1.0) / (2.0 * i)))  # (-1)^m prod_(i<=m) sqrt(...)
+    seed = np.concatenate([[1.0], diag]) / math.sqrt(FOUR_PI)
+    sx = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    if not steps.any():  # every row is on the diagonal
+        return seed[ms, None] * sx ** ms[:, None]  # 0.0**0 == 1 at the poles
+    if x.shape[0] == 1:  # one running state per order, up to the highest level it serves
+        state_m, state_of_row = np.unique(ms, return_inverse=True)
+        state_steps = np.zeros(len(state_m), dtype=int)
+        np.maximum.at(state_steps, state_of_row, steps)
+    else:  # one running state per row
+        state_m, state_steps, state_of_row = ms, steps, np.arange(len(ms))
+    by_steps = np.lexsort((state_m, -state_steps))
+    rank = np.empty_like(by_steps)
+    rank[by_steps] = np.arange(len(by_steps))
+    state_m, state_steps = state_m[by_steps], state_steps[by_steps]
+    state_of_row = rank[state_of_row]
+    if x.shape[0] > 1:
+        x, sx = x[by_steps], sx[by_steps]
+    # runs of states with the same order and step count share their coefficients
+    change = (state_steps[1:] != state_steps[:-1]) | (state_m[1:] != state_m[:-1])
+    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
+    ends = np.concatenate((starts[1:], [len(state_m)]))
+    sizes = ends - starts
+    run_m = state_m[starts]
+    top = int(state_steps[0])
+    active = np.searchsorted(-state_steps[starts], -np.arange(1, top + 1), side="right")
+    every_m = np.arange(len(seed), dtype=float)
+    ell = every_m + np.arange(1.0, top + 1)[:, None]  # [step - 1, m]; b = 0 at l = m + 1
+    a_tab = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - every_m * every_m))
+    b_tab = np.sqrt(((ell - 1.0) ** 2 - every_m * every_m) / (4.0 * (ell - 1.0) ** 2 - 1.0))
+    cur = seed[state_m, None] * sx ** state_m[:, None]
+    prev = np.zeros_like(cur)
+    scratch = np.empty_like(cur)
+    out = np.empty((len(ms), x.shape[1]))
+    rows = np.argsort(steps, kind="stable")
+    due = np.searchsorted(steps[rows], np.arange(top + 2))  # rows[due[t]:due[t + 1]] end at step t
+    for t in range(top + 1):
+        if t:  # Pbar_(m+t) = a (x Pbar_(m+t-1) - b Pbar_(m+t-2)), into the older buffer
+            g = active[t - 1]
+            k = ends[g - 1]
+            nxt = prev[:k]
+            nxt *= np.repeat(b_tab[t - 1, run_m[:g]], sizes[:g])[:, None]
+            np.multiply(x[:k], cur[:k], out=scratch[:k])
+            np.subtract(scratch[:k], nxt, out=nxt)
+            nxt *= np.repeat(a_tab[t - 1, run_m[:g]], sizes[:g])[:, None]
+            prev, cur = cur, prev
+        done = rows[due[t] : due[t + 1]]
+        out[done] = cur[state_of_row[done]]
+    return out
 
 
 def norm_plm_table(l_max: int, x) -> np.ndarray:
     """Fully normalized associated Legendre table, shape (L+1, L+1) + x.shape.
 
-    Entry [l, m] is sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!) P_l^(m)(x) for
-    m <= l (zero above the diagonal).  The normalized recurrence keeps
-    every value bounded by sqrt((2l+1)/(4 pi)), so high levels do not
-    overflow the way raw P_l^(m) do.
+    Entry [l, m] is Pbar_l^m(x) of ``norm_plm_rows`` for m <= l (zero above
+    the diagonal): every row of the table at shared points.
     """
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    L = l_max
-    out = np.zeros((L + 1, L + 1) + arr.shape)
-    sx = np.sqrt(np.maximum(0.0, 1.0 - arr * arr))
-    out[0, 0] = 1.0 / math.sqrt(FOUR_PI)
-    for m in range(1, L + 1):
-        out[m, m] = -math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * sx * out[m - 1, m - 1]
-    for m in range(0, L):
-        out[m + 1, m] = math.sqrt(2.0 * m + 3.0) * arr * out[m, m]
-    for ell in range(2, L + 1):
-        a, b = _recurrence_coeffs(ell, np.arange(0, ell - 1))
-        shape = (-1,) + (1,) * arr.ndim
-        out[ell, : ell - 1] = a.reshape(shape) * (
-            arr * out[ell - 1, : ell - 1] - b.reshape(shape) * out[ell - 2, : ell - 1]
-        )
+    out = np.zeros((l_max + 1, l_max + 1) + arr.shape)
+    ell, m = np.tril_indices(l_max + 1)
+    out[ell, m] = norm_plm_rows(ell, m, arr.reshape(1, -1)).reshape((len(ell),) + arr.shape)
     return out
-
-
-def plm_sq(ell, m, x) -> np.ndarray:
-    """|Pbar_l^m(x)|^2 elementwise over broadcast arrays of (l, m, x).
-
-    Pbar is the normalized entry of ``norm_plm_table``, so 2 pi |Pbar|^2 is
-    the density of cos(colatitude) under |Y_(l,+-m,2)|^2.  The diagonal
-    seed is |Pbar_m^m| = prod_(i<=m) sqrt((2i+1)/(2i)) sin^m / sqrt(4 pi),
-    which at x = +-1 is 1/sqrt(4 pi) for m = 0 and 0 otherwise; each entry
-    then runs l - m steps of the shared recurrence.  Entries are grouped by
-    (l, m) with the most steps first, so step t updates one leading slice
-    and computes its coefficients once per group.
-    """
-    ell, m, x = np.broadcast_arrays(
-        np.asarray(ell, dtype=int), np.asarray(m, dtype=int), np.asarray(x, dtype=float)
-    )
-    shape = x.shape
-    ell, m, x = ell.ravel(), m.ravel(), x.ravel()
-    if np.any((m < 0) | (m > ell)):
-        raise ValueError("plm_sq needs 0 <= m <= l")
-    if x.size == 0:
-        return np.zeros(shape)
-    order = np.lexsort((m, m - ell))
-    ell, m, x = ell[order], m[order], x[order]
-    starts = np.flatnonzero(np.diff(ell, prepend=-1) | np.diff(m, prepend=-1))
-    ends = np.append(starts[1:], len(x))
-    sizes = ends - starts
-    group_m = m[starts].astype(float)
-    group_steps = ell[starts] - m[starts]
-    i = np.arange(1, int(m.max()) + 1)
-    diag = np.concatenate([[1.0], np.cumprod(np.sqrt((2.0 * i + 1.0) / (2.0 * i)))])
-    sx = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    cur = diag[m] / math.sqrt(FOUR_PI) * sx**m  # 0.0**0 == 1 at the poles
-    prev = np.zeros_like(cur)
-    final = [cur, prev]  # an entry's value after s steps sits in final[s % 2]
-    active = np.searchsorted(-group_steps, -np.arange(1, int(group_steps[0]) + 1), side="right")
-    for t, g in enumerate(active, start=1):
-        k = ends[g - 1]
-        a, b = _recurrence_coeffs(group_m[:g] + t, group_m[:g])
-        head = prev[:k]  # becomes step t, in place: a (x cur - b prev)
-        head *= np.repeat(b, sizes[:g])
-        np.subtract(x[:k] * cur[:k], head, out=head)
-        head *= np.repeat(a, sizes[:g])
-        prev, cur = cur, prev
-    steps = ell - m
-    out = np.empty_like(x)
-    out[order] = np.where(steps % 2 == 0, final[0], final[1]) ** 2
-    return out.reshape(shape)

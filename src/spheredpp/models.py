@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harmonics import multiplicities, multiplicity
+from .harmonics import multiplicities
 from .spectra import (
     DSchoenbergSeq,
     ExistenceError,
@@ -341,27 +341,30 @@ def spectral_model_spectrum(
 # ---------------------------------------------------------------------------
 
 
-def most_repulsive_spectrum(eta: float, dim: int) -> MercerSpectrum:
+def most_repulsive_spectrum(
+    eta: float, dim: int, trunc: TruncationPolicy = TruncationPolicy()
+) -> MercerSpectrum:
     """Eigenvalues of the most repulsive DPP with expected count eta.
 
     lambda = 1 below the boundary level n, a fractional value at n so
     that sum m*lambda = eta, and 0 above; n is the level with
-    cum(n-1) < eta <= cum(n) of cumulative multiplicities.
+    cum(n-1) < eta <= cum(n) of cumulative multiplicities.  The levels
+    are cut by ``truncate_levels``: a boundary past max_level raises
+    TruncationError, and a boundary level holding at most tail_tol of eta
+    is cut off into the tail bound.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    values = []
-    cum = 0.0
-    n = 0
-    while True:
-        m = multiplicity(n, dim)
-        if cum + m >= eta:
-            values.append((eta - cum) / m)
-            break
-        values.append(1.0)
-        cum += m
-        n += 1
-    return MercerSpectrum(dim, "kernel", np.array(values))
+
+    def series(n):
+        mults = multiplicities(n, dim)
+        below = np.concatenate(([0.0], np.cumsum(mults[:-1])))  # cum(l-1)
+        lam = np.clip((eta - below) / mults, 0.0, 1.0)
+        terms = mults * lam
+        return lam, terms, terms, 0.0 if below[-1] + mults[-1] >= eta else None
+
+    values, tail = truncate_levels(series, trunc)
+    return MercerSpectrum(dim, "kernel", values, tail_bound=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -834,7 +837,7 @@ def resolve(spec: ModelSpec) -> ResolvedModel:
         p = spec.params
         kernel = spectral_model_spectrum(p["alpha"], p["beta"], p["kappa"], spec.dim, spec.trunc)
     elif spec.family == "most_repulsive":
-        kernel = most_repulsive_spectrum(spec.params["eta"], spec.dim)
+        kernel = most_repulsive_spectrum(spec.params["eta"], spec.dim, spec.trunc)
     else:  # circular_matern
         if spec.dim != 1:
             raise ValueError("circular_matern is defined on S^1")

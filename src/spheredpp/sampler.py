@@ -10,7 +10,8 @@ and are accepted with probability h_j/h_0 <= 1, so no envelope constant
 is needed and about n H_n proposals are tested (Lavancier, Moller and
 Rubak 2015; Hough et al. 2006).  On S^2 a mixture component has a
 uniform longitude and cos(colatitude) with density 2 pi |Pbar_lm|^2,
-drawn by rejection against the addition-formula bound (2l+1)/2.
+drawn by rejection against the addition-formula bound (2l+1)/2.  Both Y and
+that density come from ``harmonics.norm_plm_rows``.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .harmonics import index_set, norm_plm_table, plm_sq, sh_bound_sq
+from .harmonics import index_set, norm_plm_rows, sh_bound_sq
 from .spectra import MercerSpectrum
 from .sphere import PointPattern, SpherePoint, sample_uniform_angles, surface_measure
 
-# most proposals per eval_matrix call, and Legendre-table entries per call (~100 MB)
+# most proposals per eval_matrix call
 CHUNK = 128
-TABLE_ENTRIES = 12_000_000
 
 
 class SamplingError(RuntimeError):
@@ -75,8 +75,7 @@ class ProjectionBasis:
             freq = self.orders * self.levels
             return np.exp(1j * np.outer(theta, freq)) / math.sqrt(2.0 * math.pi)
         colat, lon = angles[:, 0], angles[:, 1]
-        table = norm_plm_table(self.max_level, np.cos(colat))  # (L+1, L+1, B)
-        vals = table[self.levels, np.abs(self.orders), :].T  # (B, n)
+        vals = norm_plm_rows(self.levels, np.abs(self.orders), np.cos(colat)[None, :]).T  # (B, n)
         phase = np.where((self.orders < 0) & (self.orders % 2 != 0), -1.0, 1.0)
         return vals * phase * np.exp(1j * np.outer(lon, self.orders))
 
@@ -126,7 +125,7 @@ def draw_cos_colatitude(ells, ms, rng: np.random.Generator) -> np.ndarray:
         owner = np.repeat(np.arange(len(pending)), tries)
         ell, m = ells[pending][owner], ms[pending][owner]
         x = rng.uniform(-1.0, 1.0, size=len(owner))
-        dens = 2.0 * math.pi * plm_sq(ell, m, x)
+        dens = 2.0 * math.pi * norm_plm_rows(ell, m, x[:, None])[:, 0] ** 2
         bound = 2.0 * math.pi * sh_bound_sq(2, ell, m)
         if np.any(dens > bound * (1.0 + 1e-9)):  # slack for rounding at the poles
             worst = int(np.argmax(dens / bound))
@@ -189,8 +188,6 @@ def sample_projection(
     if n == 0:
         return SampleResult(PointPattern(basis.dim, ()), 0, 0, float("nan"), 0)
     chunk = min(CHUNK, 2 * n)  # the last point alone takes about n tries
-    if basis.dim == 2:
-        chunk = max(4, min(chunk, TABLE_ENTRIES // (basis.max_level + 1) ** 2))
     # conjugated orthonormal rows: row i @ v is the coefficient <e_i, v>
     dual = np.empty((n, n), dtype=complex)
     points = np.empty((n, basis.dim))

@@ -282,6 +282,17 @@ class TestModelValidation:
         assert "max_level=300" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
 
+    def test_most_repulsive_past_max_level_exits_1(self, tmp_path, capsys):
+        # the boundary level of eta = 1e6 on S^1 is 500,000: once resolved and
+        # written out in full, whatever trunc.max_level said
+        model = tmp_path / "m.json"
+        data = {"family": "most_repulsive", "params": {"eta": 1e6}, "dim": 1,
+                "trunc": {"max_level": 100}}
+        model.write_text(json.dumps(data))
+        assert run(["coeffs", "--model", str(model), "--out", str(tmp_path / "c.csv")]) == 1
+        assert "max_level=100" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
     @pytest.mark.parametrize("command", ["coeffs", "loglik", "mle"])
     def test_chi_overflowing_sigma_names_chi(self, tmp_path, capsys, command):
         # chi * sigma_2 overflows: once this printed eta = nan and exited 0

@@ -327,6 +327,24 @@ class TestMostRepulsive:
             for dim in (1, 2):
                 assert most_repulsive_spectrum(eta, dim).eta == pytest.approx(eta)
 
+    def test_boundary_past_max_level_raises(self):
+        # eta = 1e6 on S^1 has its boundary at level 500,000, which was built
+        # level by level in a Python list whatever trunc.max_level said
+        cap = TruncationPolicy(max_level=100)
+        with pytest.raises(TruncationError, match="max_level=100"):
+            most_repulsive_spectrum(1e6, 1, cap)
+        with pytest.raises(TruncationError, match="max_level=100"):
+            resolve(ModelSpec("most_repulsive", {"eta": 1e6}, 1, trunc=cap))
+
+    def test_boundary_at_max_level(self):
+        # eta = 9 on S^2 fills levels 0..2 exactly: max_level 2 holds it, 1 does not
+        spec = most_repulsive_spectrum(9.0, 2, TruncationPolicy(max_level=2))
+        assert spec.values.tolist() == [1.0, 1.0, 1.0] and spec.tail_bound == 0.0
+        with pytest.raises(TruncationError):
+            most_repulsive_spectrum(9.0, 2, TruncationPolicy(max_level=1))
+        spec = most_repulsive_spectrum(400.0, 2)
+        assert len(spec.values) == 20 and spec.tail_bound == 0.0
+
 
 class TestMatern:
     def test_nu_half_is_exponential(self):

@@ -145,7 +145,9 @@ class TestProjectionSampling:
 
         # an evaluator that breaks the addition-formula bound (2l+1)/(4 pi)
         monkeypatch.setattr(
-            sampler_module, "plm_sq", lambda ell, m, x: (2 * ell + 1) / (2 * math.pi) + 0 * x
+            sampler_module,
+            "norm_plm_rows",
+            lambda ell, m, x: np.sqrt((2 * ell + 1) / (2 * math.pi))[:, None] + 0 * x,
         )
         with pytest.raises(SamplingError, match="exceeds its bound"):
             draw_cos_colatitude([3], [1], rng(0))
@@ -367,3 +369,64 @@ def test_cos_colatitude_draw_ks(ell, m, draws):
 
     assert cdf(np.array([1.0]))[0] == pytest.approx(1.0, rel=1e-10)
     assert kstest(x, cdf).pvalue > 1e-3
+
+
+def test_eval_matrix_memory_follows_the_basis():
+    # the spherical harmonics of a figure-scale basis (mq1-400: 393 functions
+    # up to level 195) at a full chunk of proposals: the peak stays within a
+    # few copies of the complex (B, n) result (3.0 of them), with no
+    # (L+1)^2 x B Legendre table (42 MB here, 26 copies)
+    import tracemalloc
+
+    from spheredpp.sphere import sample_uniform_angles
+
+    model = resolve(
+        ModelSpec(
+            "multiquadric", {"tau": 1.0, "delta": 0.9654362879120054}, 2, "kernel",
+            rho=400.0 / (4 * math.pi),
+        )
+    )
+    basis = draw_bernoulli_basis(model.kernel, rng(6))
+    angles = sample_uniform_angles(2, 128, rng(7))
+    tracemalloc.start()
+    try:
+        vals = basis.eval_matrix(angles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = len(basis)
+    assert vals.shape == (128, n)
+    assert peak <= 8 * n * 128 * 16, (peak, n, basis.max_level)
+
+
+class TestScoreIdentity:
+    # Under theta_0 the delta-score of the density has mean exactly 0 at every
+    # sample size (Bartlett's first identity), so sampler, log-determinant and
+    # normalizer D must agree: a biased stage 2 shifts the mean.  Density mode,
+    # tau = 10, delta = 0.5, chi = 6; central difference h = 1e-4; levels cut
+    # at tail_tol 1e-12 so that truncation moves the score by far less than its SE.
+    REPS = 200
+    H = 1e-4
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_delta_score_has_mean_zero(self, dim):
+        from spheredpp.likelihood import DensityContext, log_density
+        from spheredpp.spectra import TruncationPolicy
+
+        def model(delta):
+            return resolve(
+                ModelSpec(
+                    "multiquadric", {"tau": 10.0, "delta": delta}, dim, "density",
+                    chi=6.0, trunc=TruncationPolicy(tail_tol=1e-12),
+                )
+            )
+
+        truth = model(0.5)
+        lo, hi = (DensityContext(model(0.5 + s * self.H).density) for s in (-1, 1))
+        scores = []
+        for r in range(self.REPS):
+            pattern = sample_dpp(truth, np.random.default_rng([2026 + dim, r])).pattern
+            scores.append((log_density(pattern, hi) - log_density(pattern, lo)) / (2 * self.H))
+        scores = np.array(scores)
+        z = scores.mean() / (scores.std(ddof=1) / math.sqrt(self.REPS))
+        assert abs(z) <= 4.0, z
