@@ -21,8 +21,9 @@ form, which needs no level as an array.  The normalized
 associated-Legendre recurrence runs in one evaluator, ``norm_plm_rows``, for
 any set of rows (l, m): once per order up to the highest level the rows need,
 at points shared by every row (``sampler.ProjectionBasis.eval_matrix``
-assembles the Y above from it, and ``norm_plm_table`` is every row up to a
-level), or at one set of points per row (the sampler's colatitude draws).
+assembles the Y above from it, ``colatitude_sup`` certifies the sampler's
+colatitude envelopes on a theta grid, and ``norm_plm_table`` is every row up
+to a level), or at one set of points per row (the sampler's colatitude draws).
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def plm_sup_sq(l_max: int) -> np.ndarray:
     uniform theta grid of 2K points divided by cos(pi l / (2K)).  The
     returned (L+1, L+1) array is a rigorous upper bound, much sharper
     than the addition-formula bound for |m| near l.  The sampler does not
-    use it: it proposes from the selected basis's own intensity.
+    use it: its colatitude envelope is ``colatitude_sup``, per selected row.
     """
     L = l_max
     K = 4 * max(L, 1) + 64
@@ -171,6 +172,37 @@ def plm_sup_sq(l_max: int) -> np.ndarray:
         prev2, prev1 = prev1, row
     safety = 1.0 / math.cos(math.pi * max(L, 1) / (2.0 * K))
     return (sup * safety) ** 2
+
+
+def colatitude_sup(ells, ms) -> np.ndarray:
+    """Certified sup over theta of g(theta) = 2 pi Pbar_l^m(cos theta)^2 sin theta,
+    one value per row (l_i, m_i), 0 <= m <= l.
+
+    g is the density of the colatitude under |Y_lm|^2, and a trigonometric
+    polynomial of degree 2l+1, so by the Ehlich-Zeller inequality (as in
+    ``plm_sup_sq``) its sup is at most its max over the theta grid k pi / K
+    divided by cos(pi (2l+1) / (2K)).  |g| is even and g(pi - theta) = g(theta),
+    so the grid's points in [0, pi/2] carry that max.  Rows run through
+    ``norm_plm_rows`` in blocks of about 2^16 grid values, from the highest
+    degree down; a block's K is 4 times its highest degree, so each factor is
+    at most 1/cos(pi/8) and lower rows use coarser grids.
+    """
+    ells = np.asarray(ells, dtype=int)
+    ms = np.asarray(ms, dtype=int)
+    degree = 2 * ells + 1
+    out = np.empty(len(ells))
+    by_degree = np.argsort(degree, kind="stable")[::-1]
+    b = 0
+    while b < len(ells):
+        K = 4 * int(degree[by_degree[b]])
+        theta = np.arange(K // 2 + 1) * (math.pi / K)
+        rows = by_degree[b : b + max(1, (1 << 16) // theta.size)]
+        vals = norm_plm_rows(ells[rows], ms[rows], np.cos(theta)[None, :])
+        vals *= vals
+        vals *= 2.0 * math.pi * np.sin(theta)
+        out[rows] = vals.max(axis=1) / np.cos(math.pi * degree[rows] / (2.0 * K))
+        b += len(rows)
+    return out
 
 
 def norm_plm_rows(ells, ms, x) -> np.ndarray:

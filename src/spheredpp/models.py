@@ -132,9 +132,12 @@ def truncate_levels(series, trunc: TruncationPolicy):
         if len(cut):
             return values[: cut[0] + 1], float(tails[cut[0]])
         if n_max == trunc.max_level:
+            held = f"max_level={trunc.max_level}, where the levels represent {represented[-1]:.6g} expected points"
+            if not math.isfinite(tails[-1]):
+                raise TruncationError(f"no tail bound is known past {held}")
             raise TruncationError(
                 f"series tail {tails[-1]:.3g} exceeds tail_tol = {trunc.tail_tol:g} "
-                f"of the expected count at max_level={trunc.max_level}"
+                f"of the expected count at {held}"
             )
         n_max = min(2 * n_max, trunc.max_level)
 
@@ -363,8 +366,37 @@ def most_repulsive_spectrum(
         terms = mults * lam
         return lam, terms, terms, 0.0 if below[-1] + mults[-1] >= eta else None
 
-    values, tail = truncate_levels(series, trunc)
+    try:
+        values, tail = truncate_levels(series, trunc)
+    except TruncationError as err:
+        if not math.isfinite(eta):
+            raise
+        level = _boundary_level(eta, dim)
+        raise TruncationError(
+            f"most repulsive eta = {eta:g} on S^{dim} needs levels up to its boundary level "
+            f"{level if level < 10**15 else format(level, '.3e')}: {err}"
+        ) from None
     return MercerSpectrum(dim, "kernel", values, tail_bound=tail)
+
+
+def _boundary_level(eta: float, dim: int) -> int:
+    """The smallest n with cum(n) >= eta, cum(n) = C(n+d, d) + C(n+d-1, d) the
+    number of eigenfunctions of levels 0..n; exact integer search."""
+
+    def cum(n):
+        return math.comb(n + dim, dim) + math.comb(n + dim - 1, dim)
+
+    hi = 1
+    while cum(hi) < eta:
+        hi *= 2
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cum(mid) < eta:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 # ---------------------------------------------------------------------------

@@ -336,6 +336,16 @@ class TestMostRepulsive:
         with pytest.raises(TruncationError, match="max_level=100"):
             resolve(ModelSpec("most_repulsive", {"eta": 1e6}, 1, trunc=cap))
 
+    def test_boundary_past_max_level_names_the_level(self):
+        # S^1 has 2n+1 eigenfunctions up to level n, so eta = 1e6 needs level 500,000;
+        # the levels up to 100 hold 201 points and give no ratio to bound a tail by
+        with pytest.raises(TruncationError) as err:
+            most_repulsive_spectrum(1e6, 1, TruncationPolicy(max_level=100))
+        message = str(err.value)
+        assert "boundary level 500000" in message
+        assert "no tail bound is known past max_level=100" in message
+        assert "represent 201 expected points" in message
+
     def test_boundary_at_max_level(self):
         # eta = 9 on S^2 fills levels 0..2 exactly: max_level 2 holds it, 1 does not
         spec = most_repulsive_spectrum(9.0, 2, TruncationPolicy(max_level=2))

@@ -430,3 +430,138 @@ class TestScoreIdentity:
         scores = np.array(scores)
         z = scores.mean() / (scores.std(ddof=1) / math.sqrt(self.REPS))
         assert abs(z) <= 4.0, z
+
+
+def _mq10_400_basis(seed):
+    model = resolve(
+        ModelSpec(
+            "multiquadric", {"tau": 10.0, "delta": 0.7416437737576226}, 2, "kernel",
+            rho=400.0 / (4 * math.pi),
+        )
+    )
+    return draw_bernoulli_basis(model.kernel, rng(seed))
+
+
+class TestComplement:
+    def test_coordinates_match_a_qr_oracle(self):
+        # h from complement coordinates against |v|^2 - |Q^H v|^2, Q from a QR of the
+        # accepted vectors, along a random accepted sequence in chunks of 16,
+        # synced 5 proposals at a time
+        from spheredpp.sampler import _Complement
+        from spheredpp.sphere import sample_uniform_angles
+
+        g = rng(77)
+        pairs = [(ell, k) for ell in range(9) for k in range(-ell, ell + 1)]
+        pick = np.sort(g.choice(len(pairs), 30, replace=False))
+        basis = ProjectionBasis(2, np.array([pairs[i][0] for i in pick]), np.array([pairs[i][1] for i in pick]))
+        n = len(basis)
+        comp = _Complement(n)
+        accepted = []
+        while comp.j < n:
+            vmat = basis.eval_matrix(sample_uniform_angles(2, 16, g))
+            h0 = np.sum(np.abs(vmat) ** 2, axis=1)
+            z = comp.coordinates(vmat.copy())
+            h = np.empty(len(z))
+            for i, v in enumerate(vmat):
+                if i == comp.synced:
+                    h[i : i + 5] = comp.sync(z, i + 5)
+                proj = 0.0
+                if accepted:
+                    q = np.linalg.qr(np.array(accepted).T)[0]
+                    proj = np.sum(np.abs(q.conj().T @ v) ** 2)
+                assert abs(h[i] - (h0[i] - proj)) <= 1e-12 * h0[i], (comp.j, i)
+                if comp.j < n and g.random() < 0.5:
+                    h[i + 1 : comp.synced] = comp.accept(z, i)
+                    accepted.append(v)
+            comp.close_chunk()
+        assert np.linalg.norm(comp.rows @ comp.rows.conj().T - np.eye(n)) <= 1e-12
+
+    def test_conditional_density_above_h0_raises(self, monkeypatch):
+        import spheredpp.sampler as sampler_module
+        from spheredpp.sampler import SamplingError
+
+        class Inflated(sampler_module._Complement):
+            def coordinates(self, vmat):
+                return 2.0 * super().coordinates(vmat)
+
+        monkeypatch.setattr(sampler_module, "_Complement", Inflated)
+        basis = draw_bernoulli_basis(most_repulsive_spectrum(9.0, 2), rng(5))
+        with pytest.raises(SamplingError, match="acceptance probability above 1"):
+            sample_projection(basis, rng(6))
+
+
+def test_projection_memory_follows_the_basis():
+    # one mq10-400 draw (n = 387) holds one (n, n) complex array, the complement
+    # basis, besides chunk-sized ones: its tracemalloc peak is 2.06 copies of that
+    # array here, where the previous dual-basis sampler peaked at 2.34
+    import tracemalloc
+
+    basis = _mq10_400_basis(0)
+    g = rng(100)
+    tracemalloc.start()
+    try:
+        sample_projection(basis, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = len(basis)
+    assert peak <= 2.3 * n * n * 16, (peak, n)
+
+
+def test_colatitude_sup_is_certified():
+    # the sup of g = 2 pi Pbar_lm(cos theta)^2 sin theta is at least its max on a
+    # theta grid 16 times denser than any grid colatitude_sup uses here, and
+    # within its Ehlich-Zeller factor 1/cos(pi/8) of that max (up to 0.1 % for
+    # the dense grid's own miss at level 200)
+    from spheredpp.harmonics import colatitude_sup, norm_plm_rows
+
+    rows = [(ell, m) for ell in range(61) for m in range(ell + 1)] + [(200, 3), (200, 200)]
+    ells = np.array([r[0] for r in rows])
+    ms = np.array([r[1] for r in rows])
+    sup = colatitude_sup(ells, ms)
+    theta = np.linspace(0.0, math.pi, 16 * 4 * 401 + 1)
+    weight = 2 * math.pi * np.sin(theta)
+    for m in np.unique(ms):  # one recurrence per order
+        sel = np.flatnonzero(ms == m)
+        dense = np.max(norm_plm_rows(ells[sel], ms[sel], np.cos(theta)[None, :]) ** 2 * weight, axis=1)
+        assert np.all(sup[sel] >= dense), m
+        assert np.all(sup[sel] <= dense / math.cos(math.pi / 8) * 1.001), m
+
+
+def test_colatitude_tries_per_draw():
+    # a figure-scale basis (mq10-400): pi S_lm tries per draw on average, where
+    # the addition-formula bound took 2l+1 (37 per draw here)
+    from spheredpp.sampler import _colatitude_sups, _draw_colatitude
+
+    basis = _mq10_400_basis(1)
+    g = rng(2)
+    pick = g.integers(len(basis), size=4000)
+    ells, ms = basis.levels[pick], np.abs(basis.orders[pick])
+    _, tries = _draw_colatitude(ells, ms, _colatitude_sups(ells, ms), g)
+    assert np.mean(2 * ells + 1) > 30
+    assert tries / len(pick) <= 6
+
+
+def test_level_zero_draws_without_rejection(monkeypatch):
+    from scipy.stats import kstest
+
+    import spheredpp.sampler as sampler_module
+    from spheredpp.sampler import draw_cos_colatitude
+
+    def no_evaluation(*args):
+        raise AssertionError("a level-0 draw evaluated a Legendre function")
+
+    monkeypatch.setattr(sampler_module, "norm_plm_rows", no_evaluation)
+    monkeypatch.setattr(sampler_module, "colatitude_sup", no_evaluation)
+    x = draw_cos_colatitude(np.zeros(2000, dtype=int), np.zeros(2000, dtype=int), rng(8))
+    assert kstest(x, "uniform", args=(-1, 2)).pvalue > 1e-3
+
+
+def test_colatitude_above_its_certified_sup_raises(monkeypatch):
+    import spheredpp.sampler as sampler_module
+    from spheredpp.harmonics import colatitude_sup
+    from spheredpp.sampler import SamplingError, draw_cos_colatitude
+
+    monkeypatch.setattr(sampler_module, "colatitude_sup", lambda ells, ms: 0.5 * colatitude_sup(ells, ms))
+    with pytest.raises(SamplingError, match="certified sup"):
+        draw_cos_colatitude(np.full(200, 7), np.full(200, 2), rng(9))
