@@ -59,7 +59,8 @@ class DensityContext:
 
 
 def _chol_logdet(mat: np.ndarray) -> float:
-    """log det of a symmetric matrix via Cholesky; -inf when not PD
+    """log det via Cholesky of the symmetric matrix whose lower triangle is
+    mat's (np.linalg.cholesky reads no other entry); -inf when not PD
     (a non-positive pivot is the feasibility boundary, not an error)."""
     try:
         chol = np.linalg.cholesky(mat)
@@ -70,11 +71,12 @@ def _chol_logdet(mat: np.ndarray) -> float:
 
 def _radial_logdet(pattern: PointPattern, radial) -> float:
     """log det of radial(s(x_i, x_j)), evaluated once per pair on the
-    pattern's upper-triangle distances and mirrored."""
-    upper = np.triu_indices(len(pattern))
+    pattern's upper-triangle distances and written once, into the upper
+    triangle of ``mat``: that is the lower triangle of ``mat.T``, the one
+    Cholesky reads, and the other is left unset."""
     mat = np.empty((len(pattern),) * 2)
-    mat[upper] = mat.T[upper] = radial(pattern.upper_distances)
-    return _chol_logdet(mat)
+    mat[pattern.upper_mask] = radial(pattern.upper_distances)
+    return _chol_logdet(mat.T)
 
 
 def log_density(pattern: PointPattern, ctx: DensityContext) -> float:

@@ -508,65 +508,114 @@ def eval_radial_series(coeffs, dim: int, s):
     """sum_l c_l R_l(cos s) at distances s, with R_l = C_l^(lam) / C_l^(lam)(1)
     and lam = (d-1)/2 (R_l(cos s) = cos(l s) on S^1).
 
-    Clenshaw's backward sum in Reinsch's form, for every d.  The normalized
-    polynomials satisfy R_(k+1) = A_k x R_k - B_k R_(k-1) with
-    A_k = 2(k+lam)/(k+2lam), B_k = k/(k+2lam) (A_0 = 1, B_0 = 0), and
-    A_k - B_k = 1 because every R_k(1) = 1.  So the Clenshaw sums
-    b_k = c_k + A_k x b_(k+1) - B_(k+1) b_(k+2) split, through
-    e_k = b_k - B_k b_(k+1), into
+    Every d is summed as a cosine series.  For d >= 2 the coefficients are
+    first mapped, once per call, through DLMF 18.5.11,
+    C_n^(lam)(cos s) = sum_k g_k g_(n-k) cos((n-2k) s) with g_k = (lam)_k / k!,
+    to
 
-        e_k = c_k + (A_k / 2) w b_(k+1) + e_(k+1),   b_k = e_k + B_k b_(k+1),
+        a_j = eps_j sum_p c_(2p+j) g_p g_(p+j) / h_(2p+j),   h_n = (2 lam)_n / n!,
 
-    with w = 2(x - 1) = -4 sin^2(s/2) and the sum e_0.  Near x = 1 the b_k
-    grow like k^2, but they enter only through w b, which stays small: plain
-    Clenshaw loses about a factor L^2 there.  Points with cos s < 0 use
-    R_k(-x) = (-1)^k R_k(x): they are summed at pi - s, where
-    w = -4 cos^2(s/2), with alternating coefficients.  b is carried as
-    b_k / prod_(j=k..L) B_j, so each level is four in-place passes over the
-    points on S^1 (where A_k = 2 and B_k = 1 past level 0) and six
-    otherwise.  Memory is five arrays of s.size, whatever the level count.
+    with eps_0 = 1 and eps_j = 2 for j > 0, in np.longdouble (an O(L^2)
+    map of positive weights: R_n is a convex combination of cosines, so
+    sum_j |a_j| <= sum_l |c_l|).  ``_cosine_series`` then sums
+    sum_j a_j cos(j s) by Reinsch's form of Clenshaw's recurrence, four
+    in-place passes per level over 64-byte-aligned work arrays.  Memory is
+    five arrays of s.size (four of them from one allocation), whatever the
+    level count.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     arr = np.asarray(s, dtype=float)
     flat = arr.reshape(-1)
-    n_top, n = len(coeffs) - 1, flat.size
-    if n_top < 0 or n == 0:
+    if len(coeffs) == 0 or flat.size == 0:
         out = np.zeros(arr.shape)
         return float(out) if arr.ndim == 0 else out
-    lam = (dim - 1) / 2.0
-    k = np.arange(1, n_top + 1, dtype=float)
-    half_a = np.append(0.5, (k + lam) / (k + 2.0 * lam))  # A_k / 2
-    b_scale = np.ones(n_top + 2)  # prod_(j=k..L) B_j for k >= 1, and 1 past L
-    b_scale[1:-1] = np.cumprod((k / (k + 2.0 * lam))[::-1])[::-1]
-    gain = half_a * b_scale[1:]  # (A_k / 2) prod_(j=k+1..L) B_j
-    unscale = 1.0 / b_scale
-    alternating = coeffs.copy()  # R_k(-x) = (-1)^k R_k(x)
-    alternating[1::2] *= -1.0
+    if dim > 1:
+        coeffs = _cosine_coefficients(coeffs, (dim - 1) / 2.0)
+    out = _cosine_series(coeffs, flat)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
+
+def _cosine_coefficients(coeffs: np.ndarray, lam: float) -> np.ndarray:
+    """Cosine coefficients a_j of sum_l c_l C_l^(lam)(cos s) / C_l^(lam)(1), lam > 0
+    (see ``eval_radial_series``), accumulated in np.longdouble and rounded once."""
+    ext = np.longdouble
+    n_top = len(coeffs) - 1
+    k = np.arange(1, n_top + 1, dtype=ext)
+    g = np.ones(n_top + 1, dtype=ext)  # (lam)_k / k!
+    g[1:] = np.cumprod((k - 1 + ext(lam)) / k)
+    h = np.ones(n_top + 1, dtype=ext)  # (2 lam)_n / n! = C_n^(lam)(1)
+    h[1:] = np.cumprod((k - 1 + 2 * ext(lam)) / k)
+    u = coeffs.astype(ext) / h
+    a = np.zeros(n_top + 1, dtype=ext)
+    for p in range(n_top // 2 + 1):  # the terms n = 2p + j, k = p for every j
+        m = n_top - 2 * p + 1
+        a[:m] += g[p] * u[2 * p :] * g[p : p + m]
+    a[1:] *= 2
+    return a.astype(float)
+
+
+_CACHE_LINE = 64  # bytes
+
+
+def _aligned_rows(rows: int, n: int) -> np.ndarray:
+    """Uninitialized float64 array of shape (rows, n), from one allocation, with
+    every row starting on a cache line (rows are padded to whole lines)."""
+    per_line = _CACHE_LINE // 8
+    stride = -(-n // per_line) * per_line
+    raw = np.empty(rows * stride + per_line - 1)
+    start = -raw.ctypes.data % _CACHE_LINE // 8
+    return raw[start : start + rows * stride].reshape(rows, stride)[:, :n]
+
+
+def _cosine_series(a: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """sum_j a_j cos(j s) at the points of the 1-d array ``flat``, as a new array.
+
+    Reinsch's form of Clenshaw's backward sum: with w = 2(cos s - 1) =
+    -4 sin^2(s/2), the Clenshaw sums b_j = a_j + 2 cos(s) b_(j+1) - b_(j+2)
+    split, through e_j = b_j - b_(j+1), into
+
+        e_j = a_j + w b_(j+1) + e_(j+1),   b_j = e_j + b_(j+1),
+
+    and the sum is b_0 = a_0 + (w/2) b_1 + e_1: level 0 takes half of w b_1,
+    because cos s is x times cos 0, not 2x.  Near s = 0 the b_j
+    grow like j^2 but enter only through w b, which stays small: plain
+    Clenshaw loses about a factor L^2 there.  Points with cos s < 0 use
+    cos(j (pi - s)) = (-1)^j cos(j s): they are summed at pi - s, where
+    w = -4 cos^2(s/2), with alternating coefficients.  Each level is four
+    in-place passes over w, b, e and t, which share one allocation and each
+    start on a cache line, so the passes do not depend on where the heap
+    put them.
+    """
+    n = flat.size
+    alternating = a.copy()
+    alternating[1::2] *= -1.0
     neg = np.cos(flat) < 0.0
-    order = np.concatenate((np.flatnonzero(~neg), np.flatnonzero(neg)))
     n_pos = n - int(np.count_nonzero(neg))
-    w = flat[order]
+    w, b, e, t = _aligned_rows(4, n)
+    w[:n_pos] = flat[~neg]
+    w[n_pos:] = flat[neg]
     w *= 0.5
     np.sin(w[:n_pos], out=w[:n_pos])
     np.cos(w[n_pos:], out=w[n_pos:])
     w *= w
     w *= -4.0
-    b, e, t = np.zeros(n), np.zeros(n), np.empty(n)
-    for ell in range(n_top, -1, -1):  # a factor of exactly 1 costs no pass
+    b.fill(0.0)
+    e.fill(0.0)
+    for j in range(len(a) - 1, 0, -1):
         np.multiply(w, b, out=t)
-        if gain[ell] != 1.0:
-            t *= gain[ell]
         e += t
-        e[:n_pos] += coeffs[ell]
-        e[n_pos:] += alternating[ell]
-        if unscale[ell] != 1.0:
-            np.multiply(e, unscale[ell], out=t)
-            b += t
-        else:
-            b += e
-    b[order] = e  # b is free now; it takes the sums back in the caller's order
-    return float(b[0]) if arr.ndim == 0 else b.reshape(arr.shape)
+        e[:n_pos] += a[j]
+        e[n_pos:] += alternating[j]
+        b += e
+    np.multiply(w, b, out=t)
+    t *= 0.5
+    e += t
+    e[:n_pos] += a[0]
+    e[n_pos:] += alternating[0]
+    out = np.empty(n)
+    out[~neg] = e[:n_pos]
+    out[neg] = e[n_pos:]
+    return out
 
 
 def eval_psi_series(beta_d: DSchoenbergSeq, s):

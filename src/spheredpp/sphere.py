@@ -215,9 +215,20 @@ class PointPattern:
     def upper_distances(self) -> np.ndarray:
         """Geodesic distances of the pairs i <= j in ``np.triu_indices`` order,
         read-only; computed on first use and kept with the pattern."""
-        dist = pairwise_geodesic(self)[np.triu_indices(len(self))]
+        dist = pairwise_geodesic(self)[self.upper_mask]
         dist.flags.writeable = False
         return dist
+
+    @cached_property
+    def upper_mask(self) -> np.ndarray:
+        """n x n boolean mask of the entries i <= j, read-only; it visits them
+        in ``np.triu_indices`` order, so a pair-value array assigned through it
+        fills the upper triangle of a C-order matrix.  Computed on first use
+        and kept with the pattern."""
+        index = np.arange(len(self))
+        mask = index[:, None] <= index
+        mask.flags.writeable = False
+        return mask
 
     def to_csv(self, path_or_file) -> None:
         """Write the spec'd CSV: d=1 column ``theta``; d=2 columns

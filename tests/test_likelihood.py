@@ -6,6 +6,8 @@ import pytest
 from spheredpp.likelihood import (
     DensityContext,
     ScaledFitSpec,
+    _chol_logdet,
+    _radial_logdet,
     log_density,
     loglik_score_info,
     newton_mle,
@@ -109,6 +111,45 @@ class TestLogDensity:
         ctx = DensityContext(MercerSpectrum(2, "density-kernel", [1.0]))
         with pytest.raises(ValueError):
             log_density(PointPattern(1, ()), ctx)
+
+
+def hard_core_pattern(n, r, seed):
+    """n uniform points on S^2, none closer than r to an earlier one (the fit
+    benchmark's patterns: 300 points at r = 0.1)."""
+    rng = np.random.default_rng(seed)
+    points, vectors = [], []
+    while len(points) < n:
+        (angles,) = sample_uniform_angles(2, 1, rng)
+        point = SpherePoint(2, tuple(angles))
+        if not vectors or np.max(np.array(vectors) @ point.vector) < math.cos(r):
+            points.append(point)
+            vectors.append(point.vector)
+    return PointPattern(2, tuple(points))
+
+
+class TestGramFill:
+    """``_radial_logdet`` writes each pair value once, into one triangle."""
+
+    def test_equals_both_triangles_fill_bit_for_bit(self):
+        pat = hard_core_pattern(300, 0.1, 3)
+        model = resolve(
+            ModelSpec("multiquadric", {"tau": 10.0, "delta": 0.7}, 2, "density", chi=1.0)
+        )
+        upper = np.triu_indices(len(pat))
+        for radial in (
+            lambda s: eval_radial_series(model.correlation_beta.values, 2, s),
+            DensityContext(model.density).radial,
+        ):
+            both = np.empty((len(pat),) * 2)
+            both[upper] = both.T[upper] = radial(pat.upper_distances)
+            expected = _chol_logdet(both)
+            assert math.isfinite(expected)
+            assert _radial_logdet(pat, radial) == expected
+
+    def test_not_positive_definite_gives_minus_inf(self):
+        pat = uniform_pattern(2, 20, 4)
+        assert _radial_logdet(pat, lambda s: 1.0 + s) == -math.inf
+        assert _radial_logdet(pat, lambda s: np.ones_like(s)) == -math.inf
 
 
 class TestScoreFunction:

@@ -262,6 +262,20 @@ def _generating_function(r, dim, s):
     return gap ** (-(dim - 1) / 2.0)
 
 
+def _normalized_gegenbauer_ext(n_max, lam, s):
+    """Rows C_l^(lam)(cos s) / C_l^(lam)(1), l = 0..n_max, from the recurrence of
+    ``gegenbauer_rows`` run in np.longdouble.  In double precision that recurrence
+    loses about l^2 eps near s = 0 and pi (3e-13 at l = 200, s = 0.004), more than
+    the bound the rows are a reference for."""
+    ext = np.longdouble
+    x = np.append(np.cos(np.asarray(s, dtype=ext)), ext(1))  # the last column is C_l(1)
+    rows = [np.zeros_like(x), np.ones_like(x)]
+    for ell in range(1, n_max + 1):
+        rows.append((2 * (ell + lam - 1) * x * rows[-1] - (ell + 2 * lam - 2) * rows[-2]) / ell)
+    table = np.array(rows[1:])
+    return (table[:, :-1] / table[:, -1:]).astype(float)
+
+
 class TestRadialSeriesEvaluator:
     """``eval_radial_series`` against closed forms, its shapes, and its memory."""
 
@@ -282,6 +296,41 @@ class TestRadialSeriesEvaluator:
         s = np.concatenate([self.ENDPOINTS, np.random.default_rng(dim).uniform(0, math.pi, 200)])
         err = np.abs(eval_radial_series(coeffs, dim, s) - _generating_function(self.R, dim, s))
         assert np.max(err) <= 1e-14 * np.sum(coeffs)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended long double")
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_cosine_map_against_the_recurrence(self, dim):
+        levels = 200
+        s = np.concatenate(
+            [[0.0, 1e-8, math.pi / 2, math.pi - 1e-8, math.pi],
+             np.random.default_rng(dim).uniform(0, math.pi, 200)]
+        )
+        rows = _normalized_gegenbauer_ext(levels, (dim - 1) / 2.0, s)
+        for ell in range(levels + 1):
+            single = np.zeros(ell + 1)
+            single[ell] = 1.0
+            assert np.max(np.abs(eval_radial_series(single, dim, s) - rows[ell])) <= 1e-14
+        rng = np.random.default_rng(10 + dim)
+        for top in (1, 10, levels):
+            coeffs = rng.standard_normal(top + 1)
+            err = np.abs(eval_radial_series(coeffs, dim, s) - coeffs @ rows[: top + 1])
+            assert np.max(err) <= 1e-14 * np.sum(np.abs(coeffs))
+
+    def test_work_rows_start_on_cache_lines(self):
+        for n in range(1, 1001):
+            rows = spectra._aligned_rows(4, n)
+            starts = [row.ctypes.data for row in rows]
+            assert rows.shape == (4, n)
+            assert all(start % 64 == 0 for start in starts)
+            assert all(b - a >= 8 * n for a, b in zip(starts, starts[1:]))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_result_holds_only_its_values(self, dim):
+        s = np.random.default_rng(2).uniform(0.0, math.pi, (40, 45))
+        for points in (s, s.ravel()):
+            out = eval_radial_series([0.5, 0.3, 0.2], dim, points)
+            owner = out if out.base is None else out.base
+            assert owner.base is None and owner.nbytes <= out.nbytes + 64
 
     def test_shapes(self):
         coeffs = [0.5, 0.3, 0.2]

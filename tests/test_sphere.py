@@ -299,6 +299,12 @@ class TestPatternArrays:
         np.testing.assert_array_equal(upper, pairwise_geodesic(pat)[np.triu_indices(n)])
         assert pat.upper_distances is upper
         assert upper.shape == (n * (n + 1) // 2,)
+        filled = np.zeros((n, n))
+        filled[pat.upper_mask] = upper
+        np.testing.assert_array_equal(filled, np.triu(pairwise_geodesic(pat)))
+        assert pat.upper_mask is pat.upper_mask
         if n:
             with pytest.raises(ValueError):
                 upper[0] = 1.0
+            with pytest.raises(ValueError):
+                pat.upper_mask[0, 0] = False
