@@ -93,10 +93,10 @@ class LocalRepulsiveness:
 
 
 def _tail_of_weighted_sum(values: np.ndarray, dim: int) -> float | None:
-    """Bound the tail of sum l(l+d-1) beta_l beyond the represented prefix.
+    """Estimate the tail of sum l(l+d-1) beta_l beyond the represented prefix.
 
-    Fits a geometric or polynomial majorant to the trailing entries;
-    returns None when neither indicates convergence.
+    Fits a geometric or polynomial majorant to the trailing entries, so the
+    estimate is not a bound; returns None when neither indicates convergence.
     """
     nz = np.nonzero(values > 0.0)[0]
     if len(nz) == 0:
@@ -128,8 +128,9 @@ def local_repulsiveness(
 ) -> LocalRepulsiveness:
     """Slope and curvature of g_0 at 0 from d-Schoenberg masses.
 
-    When the represented tail of sum l^2 beta_l is certified below
-    1e-8 (geometric/polynomial majorant), the slope is 0 and the
+    When the represented tail of sum l^2 beta_l is estimated below
+    1e-8 (a geometric/polynomial majorant fitted to the last 8 entries,
+    not a certified bound), the slope is 0 and the
     curvature is (2/d) sum l(l+d-1) beta_l.  Otherwise both are flagged
     unavailable; an analytic ``slope_override`` (e.g. 2/c for the
     exponential correlation) is passed through in that case.

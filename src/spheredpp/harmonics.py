@@ -22,15 +22,16 @@ in Reinsch's form, with no level held as an array.  The normalized
 associated-Legendre recurrence runs in one evaluator, ``norm_plm_rows``, for
 any set of rows (l, m): once per order up to the highest level the rows need,
 at points shared by every row (``sampler.ProjectionBasis.eval_matrix``
-assembles the Y above from it, ``colatitude_sup`` certifies the sampler's
-colatitude envelopes on a theta grid, and ``norm_plm_table`` is every row up
-to a level), or at one set of points per row (the sampler's colatitude draws).
+assembles the Y above from it, and ``norm_plm_table`` is every row up to a
+level), or at one set of points per row (the sampler's colatitude draws).
+Certified sups come from one Ehlich-Zeller loop over it on a theta grid,
+``_grid_sup``: of Pbar_l^m(cos theta)^2 (``plm_sup_sq``) and of the sampler's
+colatitude densities 2 pi Pbar_l^m(cos theta)^2 sin theta (``colatitude_sup``).
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from math import comb, lgamma
 
 import numpy as np
@@ -137,42 +138,20 @@ def sh_bound_sq(dim: int, ell: int, k: int) -> float:
     raise ValueError("bounds available for d in {1, 2} only")
 
 
-@lru_cache(maxsize=8)
 def plm_sup_sq(l_max: int) -> np.ndarray:
     """Certified sup over the sphere of the normalized |P_l^(m)|^2 table.
 
-    P_l^(m)(cos theta) is a trigonometric polynomial of degree l, so by
-    the Ehlich-Zeller inequality its sup is at most the max over a
-    uniform theta grid of 2K points divided by cos(pi l / (2K)).  The
-    returned (L+1, L+1) array is a rigorous upper bound, much sharper
-    than the addition-formula bound for |m| near l.  The sampler does not
-    use it: its colatitude envelope is ``colatitude_sup``, per selected row.
+    Pbar_l^m(cos theta)^2 is a trigonometric polynomial of degree 2l, so
+    ``_grid_sup`` bounds its sup within a factor 1/cos(pi/8) of its max on a
+    theta grid.  The returned (L+1, L+1) array (zero above the diagonal) is a
+    rigorous upper bound, much sharper than the addition-formula bound for
+    |m| near l.  The sampler does not use it: its colatitude envelope is
+    ``colatitude_sup``, per selected row.
     """
-    L = l_max
-    K = 4 * max(L, 1) + 64
-    theta = np.linspace(0.0, math.pi, K + 1)
-    x = np.cos(theta)
-    sx = np.sin(theta)
-    sup = np.zeros((L + 1, L + 1))
-    # degree-by-degree sweep keeping two full rows (m x grid); same
-    # recurrences as norm_plm_table but reduced over the grid on the fly
-    prev2 = np.zeros((L + 1, K + 1))
-    prev1 = np.zeros((L + 1, K + 1))
-    prev1[0] = 1.0 / math.sqrt(FOUR_PI)
-    sup[0, 0] = float(np.max(np.abs(prev1[0])))
-    for ell in range(1, L + 1):
-        row = np.zeros((L + 1, K + 1))
-        if ell >= 2:
-            ms = np.arange(0, ell - 1)
-            a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - ms * ms))[:, None]
-            b = np.sqrt(((ell - 1.0) ** 2 - ms * ms) / (4.0 * (ell - 1.0) ** 2 - 1.0))[:, None]
-            row[: ell - 1] = a * (x * prev1[: ell - 1] - b * prev2[: ell - 1])
-        row[ell - 1] = math.sqrt(2.0 * ell + 1.0) * x * prev1[ell - 1]
-        row[ell] = -math.sqrt((2.0 * ell + 1.0) / (2.0 * ell)) * sx * prev1[ell - 1]
-        sup[ell, : ell + 1] = np.max(np.abs(row[: ell + 1]), axis=1)
-        prev2, prev1 = prev1, row
-    safety = 1.0 / math.cos(math.pi * max(L, 1) / (2.0 * K))
-    return (sup * safety) ** 2
+    ells, ms = np.tril_indices(l_max + 1)
+    sup = np.zeros((l_max + 1, l_max + 1))
+    sup[ells, ms] = _grid_sup(ells, ms, np.maximum(2 * ells, 1), np.ones_like)
+    return sup
 
 
 def colatitude_sup(ells, ms) -> np.ndarray:
@@ -180,17 +159,26 @@ def colatitude_sup(ells, ms) -> np.ndarray:
     one value per row (l_i, m_i), 0 <= m <= l.
 
     g is the density of the colatitude under |Y_lm|^2, and a trigonometric
-    polynomial of degree 2l+1, so by the Ehlich-Zeller inequality (as in
-    ``plm_sup_sq``) its sup is at most its max over the theta grid k pi / K
-    divided by cos(pi (2l+1) / (2K)).  |g| is even and g(pi - theta) = g(theta),
-    so the grid's points in [0, pi/2] carry that max.  Rows run through
+    polynomial of degree 2l+1, bounded by ``_grid_sup``.
+    """
+    ells = np.asarray(ells, dtype=int)
+    return _grid_sup(
+        ells, np.asarray(ms, dtype=int), 2 * ells + 1, lambda theta: 2.0 * math.pi * np.sin(theta)
+    )
+
+
+def _grid_sup(ells, ms, degree, weight) -> np.ndarray:
+    """Certified sup over theta of g_i = weight(theta) Pbar_(l_i)^(m_i)(cos theta)^2,
+    where g_i is a trigonometric polynomial of degree degree[i] with |g_i| even
+    and symmetric about pi/2.
+
+    By the Ehlich-Zeller inequality the sup of |g| is at most its max over the
+    theta grid k pi / K divided by cos(pi degree / (2K)), and by symmetry the
+    grid's points in [0, pi/2] carry that max.  Rows run through
     ``norm_plm_rows`` in blocks of about 2^16 grid values, from the highest
     degree down; a block's K is 4 times its highest degree, so each factor is
     at most 1/cos(pi/8) and lower rows use coarser grids.
     """
-    ells = np.asarray(ells, dtype=int)
-    ms = np.asarray(ms, dtype=int)
-    degree = 2 * ells + 1
     out = np.empty(len(ells))
     by_degree = np.argsort(degree, kind="stable")[::-1]
     b = 0
@@ -200,7 +188,7 @@ def colatitude_sup(ells, ms) -> np.ndarray:
         rows = by_degree[b : b + max(1, (1 << 16) // theta.size)]
         vals = norm_plm_rows(ells[rows], ms[rows], np.cos(theta)[None, :])
         vals *= vals
-        vals *= 2.0 * math.pi * np.sin(theta)
+        vals *= weight(theta)
         out[rows] = vals.max(axis=1) / np.cos(math.pi * degree[rows] / (2.0 * K))
         b += len(rows)
     return out
@@ -214,8 +202,10 @@ def norm_plm_rows(ells, ms, x) -> np.ndarray:
     per row.  From the seed Pbar_m^m = (-1)^m prod_(i<=m) sqrt((2i+1)/(2i))
     sin^m / sqrt(4 pi), the recurrence Pbar_l^m = a (x Pbar_(l-1)^m - b Pbar_(l-2)^m)
     runs once per order up to the highest level a row needs there (shared
-    points) or per row to its own level, with a, b computed once per order and
-    step; rows are read off as their levels come up, and l = m takes no step.
+    points) or per row to its own level.  States run sorted by their step
+    count, so the ones still running at a step lead, and each step gathers their
+    a, b from one table per order and step; rows are read off as their levels
+    come up, and l = m takes no step.
     Every value stays within sqrt((2l+1)/(4 pi)), so high levels do not overflow.
     """
     ells = np.asarray(ells, dtype=int)
@@ -236,21 +226,13 @@ def norm_plm_rows(ells, ms, x) -> np.ndarray:
         np.maximum.at(state_steps, state_of_row, steps)
     else:  # one running state per row
         state_m, state_steps, state_of_row = ms, steps, np.arange(len(ms))
-    by_steps = np.lexsort((state_m, -state_steps))
-    rank = np.empty_like(by_steps)
-    rank[by_steps] = np.arange(len(by_steps))
+    by_steps = np.argsort(-state_steps, kind="stable")  # states still running at step t lead
     state_m, state_steps = state_m[by_steps], state_steps[by_steps]
-    state_of_row = rank[state_of_row]
+    state_of_row = np.argsort(by_steps)[state_of_row]
     if x.shape[0] > 1:
         x, sx = x[by_steps], sx[by_steps]
-    # runs of states with the same order and step count share their coefficients
-    change = (state_steps[1:] != state_steps[:-1]) | (state_m[1:] != state_m[:-1])
-    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
-    ends = np.concatenate((starts[1:], [len(state_m)]))
-    sizes = ends - starts
-    run_m = state_m[starts]
     top = int(state_steps[0])
-    active = np.searchsorted(-state_steps[starts], -np.arange(1, top + 1), side="right")
+    active = np.searchsorted(-state_steps, -np.arange(1, top + 1), side="right")
     every_m = np.arange(len(seed), dtype=float)
     ell = every_m + np.arange(1.0, top + 1)[:, None]  # [step - 1, m]; b = 0 at l = m + 1
     a_tab = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - every_m * every_m))
@@ -263,13 +245,12 @@ def norm_plm_rows(ells, ms, x) -> np.ndarray:
     due = np.searchsorted(steps[rows], np.arange(top + 2))  # rows[due[t]:due[t + 1]] end at step t
     for t in range(top + 1):
         if t:  # Pbar_(m+t) = a (x Pbar_(m+t-1) - b Pbar_(m+t-2)), into the older buffer
-            g = active[t - 1]
-            k = ends[g - 1]
+            k = active[t - 1]
             nxt = prev[:k]
-            nxt *= np.repeat(b_tab[t - 1, run_m[:g]], sizes[:g])[:, None]
+            nxt *= b_tab[t - 1, state_m[:k], None]
             np.multiply(x[:k], cur[:k], out=scratch[:k])
             np.subtract(scratch[:k], nxt, out=nxt)
-            nxt *= np.repeat(a_tab[t - 1, run_m[:g]], sizes[:g])[:, None]
+            nxt *= a_tab[t - 1, state_m[:k], None]
             prev, cur = cur, prev
         done = rows[due[t] : due[t + 1]]
         out[done] = cur[state_of_row[done]]

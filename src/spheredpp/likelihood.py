@@ -79,11 +79,15 @@ def _radial_logdet(pattern: PointPattern, radial) -> float:
     return _chol_logdet(mat.T)
 
 
+def _check_sphere(pattern: PointPattern, dim: int) -> None:
+    if pattern.dim != dim:
+        raise ValueError("pattern dimension does not match the density context")
+
+
 def log_density(pattern: PointPattern, ctx: DensityContext) -> float:
     """log f of a point configuration; the empty pattern gives
     sigma_d - D, and infeasible configurations give -inf."""
-    if pattern.dim != ctx.dim:
-        raise ValueError("pattern dimension does not match the density context")
+    _check_sphere(pattern, ctx.dim)
     sigma = surface_measure(ctx.dim)
     base = sigma - ctx.log_normalizer
     if len(pattern) == 0:
@@ -144,6 +148,7 @@ def _profile(alpha: np.ndarray, m: np.ndarray, n: int, zeta: float, logdet: floa
 
 def loglik_score_info(pattern: PointPattern, spec: ScaledFitSpec) -> LoglikTriple:
     """Log-likelihood, score, and observed information at zeta = ln chi."""
+    _check_sphere(pattern, spec.dim)
     n = len(pattern)
     if n == 0:
         raise ValueError("the likelihood in chi requires a nonempty pattern")
@@ -188,6 +193,7 @@ def newton_mle(
     alpha > 0.  Newton steps get step-halving when the likelihood drops
     and bisection when they leave the running sign bracket.
     """
+    _check_sphere(pattern, spec.dim)
     n = len(pattern)
     if n == 0:
         raise ValueError("cannot fit chi to an empty pattern")

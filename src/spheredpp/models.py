@@ -203,11 +203,18 @@ def multiquadric_d_schoenberg(
 
     The coefficients are its solution that decays like delta^k (the other
     grows like delta^-k).  Miller's algorithm (Gautschi 1967) runs it
-    backward from 20/|ln delta| levels above the last level wanted, where the
-    start's error has shrunk by delta^(2 * 20/|ln delta|) = e^-40, and
-    normalizes by sum beta = psi(0) = 1.  One route serves every tau, delta
-    and d; no quadrature is involved.  A delta so close to 1 that the start
-    lies more than 16 max_level levels up raises TruncationError at once.
+    backward from lead = 20/|ln delta| levels above a level count at least the
+    last level wanted, and normalizes by sum beta = psi(0) = 1.  The start's
+    error shrinks by delta^(2 lead) = e^-40 over the lead only asymptotically:
+    near the cut the ratios beta_(k+1)/beta_k of a large tau stay well above
+    delta, and a start just lead levels above the cut leaves 1.7e-13 relative
+    error at tau = 10, delta = 0.82 on S^2 and 7e-11 at tau = 100, delta = 0.3.
+    The start below lies higher, by the slack of the doubling stage at which
+    the predicted cut is found (41 to 1768 levels at those tau), and a test
+    pins the result within 5e-14 of a far higher start.  One route serves
+    every tau, delta and d; no quadrature is involved.  A delta so close to 1
+    that the start lies more than 16 max_level levels up raises
+    TruncationError at once.
 
     The recurrence runs once per call.  ``truncate_levels`` first cuts the
     large-k form of the coefficients (``_multiquadric_log_asymptote``), which

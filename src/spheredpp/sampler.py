@@ -27,12 +27,11 @@ longitude phases are exponentiated once per distinct order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .harmonics import colatitude_sup, index_set, norm_plm_rows, sh_bound_sq
+from .harmonics import colatitude_sup, multiplicities, norm_plm_rows, sh_bound_sq
 from .spectra import MercerSpectrum
 from .sphere import PointPattern, SpherePoint, sample_uniform_angles, surface_measure
 
@@ -67,8 +66,8 @@ class ProjectionBasis:
     def envelope(self) -> float:
         """Addition-formula bound on h_0: the level sums m_(l,d)/sigma_d
         over the selected levels, which sum |Y|^2 over whole levels."""
-        sigma = surface_measure(self.dim)
-        return sum(len(index_set(int(ell), self.dim)) for ell in np.unique(self.levels)) / sigma
+        mults = multiplicities(self.max_level, self.dim)
+        return float(mults[np.unique(self.levels)].sum()) / surface_measure(self.dim)
 
     @property
     def max_level(self) -> int:
@@ -96,16 +95,14 @@ class ProjectionBasis:
         return out
 
 
-@lru_cache(maxsize=16)
 def _flat_indices(dim: int, n_levels: int):
     """Flattened (level, order) arrays covering all eigenfunctions of the
-    first n_levels levels, in (l ascending, k ascending) order."""
-    levels, orders = [], []
-    for ell in range(n_levels):
-        ks = index_set(ell, dim)
-        levels.append(np.full(len(ks), ell, dtype=int))
-        orders.append(np.array(ks, dtype=int))
-    return np.concatenate(levels), np.concatenate(orders)
+    first n_levels levels, in (l ascending, k ascending) order: k runs over
+    -l..l on S^2 and over {0} at l = 0, {-1, 1} above it on S^1."""
+    counts = multiplicities(n_levels - 1, dim).astype(int)
+    levels = np.repeat(np.arange(n_levels), counts)
+    place = np.arange(len(levels)) - np.repeat(np.cumsum(counts) - counts, counts)  # 0..m_l - 1
+    return levels, (place - levels if dim == 2 else 2 * place - (levels > 0))
 
 
 def draw_bernoulli_basis(spec: MercerSpectrum, rng: np.random.Generator) -> ProjectionBasis:
@@ -399,10 +396,4 @@ def sample_dpp(model, rng: np.random.Generator, max_rejects: int = 10_000_000) -
     spec = model if isinstance(model, MercerSpectrum) else model.kernel
     basis = draw_bernoulli_basis(spec, rng)
     result = sample_projection(basis, rng, max_rejects=max_rejects)
-    return SampleResult(
-        result.pattern,
-        result.basis_size,
-        result.n_proposals,
-        result.acceptance_rate,
-        len(spec.values) - 1,
-    )
+    return replace(result, trunc_level=len(spec.values) - 1)

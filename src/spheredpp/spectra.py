@@ -322,11 +322,11 @@ def _panel_nodes(n: int, panels) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def _integrate_levels(values_fn, n_max: int, panels, quad: QuadratureSpec):
+def _integrate_levels(values_fn, panels, quad: QuadratureSpec):
     """Adaptive GL integration of a family of level integrands.
 
-    ``values_fn(s, w)`` must return the length-(n_max+1) vector of
-    weighted integrals over the given nodes.  Nodes are doubled until
+    ``values_fn(s, w)`` must return the vector of the levels' weighted
+    integrals over the given nodes.  Nodes are doubled until
     two successive estimates agree within quad.tol (sup over levels).
     """
     prev = None
@@ -388,7 +388,7 @@ def d_schoenberg_from_psi(
         ps = psi(s) * np.sin(s) ** (dim - 1) * w
         return pref * np.array([row @ ps for row in gegenbauer_rows(n_max, lam, s)])
 
-    coefs = _integrate_levels(values_fn, n_max, panels, quad)
+    coefs = _integrate_levels(values_fn, panels, quad)
     if np.any(coefs < -1e-8):
         worst = float(coefs.min())
         raise ValueError(

@@ -165,6 +165,24 @@ class TestFitCommands:
         fit = json.loads(fit_out.read_text())
         assert fit["converged"] is True
 
+    @pytest.mark.parametrize("command", ["loglik", "mle"])
+    def test_pattern_on_another_sphere_exits_1(self, tmp_path, capsys, command):
+        # the fit model of the benchmark (S^2, density mode) on an S^1 pattern
+        model = tmp_path / "fit.json"
+        model.write_text(
+            json.dumps(
+                {"family": "multiquadric", "params": {"tau": 10.0, "delta": 0.66},
+                 "dim": 2, "mode": "density", "chi": 1.0}
+            )
+        )
+        pts = tmp_path / "pts.csv"
+        thetas = [2.0 * math.pi * i / 40 for i in range(40)]
+        pts.write_text("theta\n" + "".join(f"{t!r}\n" for t in thetas))
+        assert run([command, "--model", str(model), "--pattern", str(pts)]) == 1
+        captured = capsys.readouterr()
+        assert "pattern dimension does not match the density context" in captured.err
+        assert captured.out == ""
+
     def test_loglik_rejects_nan_coordinate(self, tmp_path, capsys):
         model = tmp_path / "mq1.json"
         model.write_text(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spheredpp import models
+from spheredpp.harmonics import multiplicity
 from spheredpp.diagnostics import (
     RepulsivenessReport,
     eta_times_global_repulsiveness,
@@ -118,6 +119,24 @@ class TestLocalRepulsiveness:
 
     def test_most_repulsive_curvature_d1(self):
         assert most_repulsive_curvature(1, 1) == pytest.approx(4.0 / 3.0)
+
+    def test_most_repulsive_curvature_any_dim(self):
+        # for d >= 3 it is (2/d) sum l(l+d-1) m_l / sum m_l over the filled levels;
+        # that sum reproduces the d = 1 and d = 2 closed forms, and on S^3
+        # (m_l = (l+1)^2) it is (2/3) sum_(k<=n+1) (k^4 - k^2) / sum_(k<=n+1) k^2
+        def level_sum(n, dim):
+            m = [multiplicity(ell, dim) for ell in range(n + 1)]
+            weighted = sum(ell * (ell + dim - 1) * m_l for ell, m_l in enumerate(m))
+            return 2.0 * weighted / (dim * sum(m))
+
+        for n in range(12):
+            for dim in (1, 2):
+                assert level_sum(n, dim) == pytest.approx(most_repulsive_curvature(n, dim), rel=1e-14)
+            for dim in (3, 4, 5):
+                assert most_repulsive_curvature(n, dim) == pytest.approx(level_sum(n, dim), rel=1e-14)
+            k = np.arange(1, n + 2, dtype=float)
+            s3 = 2.0 / 3.0 * float(np.sum(k**4 - k**2)) / float(np.sum(k**2))
+            assert most_repulsive_curvature(n, 3) == pytest.approx(s3, rel=1e-14)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_series_curvature_matches_closed_form(self, dim):

@@ -12,6 +12,7 @@ from spheredpp.harmonics import (
     multiplicity,
     norm_plm_rows,
     norm_plm_table,
+    plm_sup_sq,
     sh_bound_sq,
 )
 from spheredpp.sampler import ProjectionBasis
@@ -260,6 +261,19 @@ class TestSphericalHarmonics:
             assert val <= sup[ell, abs(k)] * (1 + 1e-12)
         # sectoral sup is much smaller than the level bound for large l
         assert sup[12, 12] < 0.5 * sh_bound_sq(2, 12, 12)
+
+    def test_plm_sup_sq_within_its_grid_factor(self):
+        # each entry is at least the max of Pbar_lm^2 on a theta grid 16 times
+        # denser than the one plm_sup_sq uses, and within the Ehlich-Zeller
+        # factor 1/cos(pi/8) of that max (up to 0.1 % for the dense grid's miss)
+        L = 40
+        sup = plm_sup_sq(L)
+        ells, ms = np.tril_indices(L + 1)
+        theta = np.linspace(0.0, math.pi, 16 * 8 * L + 1)
+        dense = np.max(norm_plm_rows(ells, ms, np.cos(theta)[None, :]) ** 2, axis=1)
+        assert np.all(sup[ells, ms] >= dense)
+        assert np.all(sup[ells, ms] <= dense / math.cos(math.pi / 8) * 1.001)
+        assert np.all(np.triu(sup, 1) == 0.0)
 
     def test_norm_plm_matches_scalar(self):
         # every Y_(l,k,2) with l <= 40 against scipy's scalar evaluator

@@ -246,6 +246,18 @@ class TestNewtonMle:
         with pytest.raises(ValueError):
             newton_mle(pat, ScaledFitSpec(2, alpha))
 
+    @pytest.mark.parametrize("pattern_dim, spec_dim", [(1, 2), (2, 1)])
+    def test_pattern_on_another_sphere_rejected(self, pattern_dim, spec_dim):
+        # a fit on the wrong sphere is refused as log_density refuses it, not
+        # converged on distances of the other sphere
+        pat = uniform_pattern(pattern_dim, 40, 16)
+        spec = ScaledFitSpec(spec_dim, np.full(40, 0.3))
+        message = "pattern dimension does not match the density context"
+        with pytest.raises(ValueError, match=message):
+            newton_mle(pat, spec)
+        with pytest.raises(ValueError, match=message):
+            loglik_score_info(pat, spec)
+
     def test_result_serialization(self):
         alpha = np.array([0.3, 0.3, 0.3])
         pat = uniform_pattern(2, 4, 15)

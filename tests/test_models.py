@@ -180,6 +180,22 @@ class TestMultiquadricOneRun:
         assert len(beta.values) == levels
         assert len(tops) == 1
 
+    @pytest.mark.parametrize("tau", [0.05, 1.0, 10.0, 100.0])
+    def test_start_far_enough_above_the_cut(self, tau):
+        # Miller's start error: the coefficients resolve uses stay within 5e-14
+        # relative of a run started 10 lead + 1000 levels above the cut.  A start
+        # only lead levels above the cut would miss by 1.7e-13 at tau = 10,
+        # delta = 0.82 on S^2 and by 7e-11 at tau = 100, delta = 0.3.
+        for delta in (0.3, 0.74, 0.82, 0.97):
+            lead = math.floor(20.0 / -math.log(delta)) + 1
+            for dim in (1, 2, 3):
+                for chi in (None, 1.0):  # kernel and density modes cut differently
+                    values = multiquadric_d_schoenberg(tau, delta, dim, TruncationPolicy(), chi).values
+                    top = len(values) - 1 + 10 * lead + 1000
+                    reference = models._multiquadric_beta(tau, delta, dim, top)[0][: len(values)]
+                    error = np.max(np.abs(values - reference) / reference)
+                    assert error <= 5e-14, (delta, dim, chi, error)
+
     def test_prediction_short_of_the_cut_runs_again(self, tops, monkeypatch):
         expected = multiquadric_d_schoenberg(1.0, 0.9654362879120054, 2).values
         tops.clear()
@@ -380,6 +396,27 @@ class TestMatern:
         quad = d_schoenberg_from_psi(lambda s: np.exp(-s), 1, 30)
         np.testing.assert_allclose(beta.values, quad.values, atol=1e-10)
 
+    def test_quadrature_route_small_nu_on_the_circle(self):
+        # nu < 1/2 has no closed form: beta_(l,1) = (2 - [l = 0]) / pi int_0^pi psi(s) cos(l s) ds
+        from scipy.integrate import quad
+
+        psi = matern_psi(0.3, 1.0)
+        beta = models.matern_d_schoenberg(0.3, 1.0, 1, n_max=32)
+        for ell in (0, 1, 5):
+            weight = (1.0 if ell == 0 else 2.0) / math.pi
+            integral = quad(lambda s: float(psi(s)) * math.cos(ell * s), 0.0, math.pi, limit=200)[0]
+            assert beta.values[ell] == pytest.approx(weight * integral, rel=1e-9)
+        assert beta.tail_bound == pytest.approx(1.0 - float(np.sum(beta.values)), abs=1e-15)
+
+    def test_quadrature_route_on_the_sphere(self):
+        # nu = 1/2 on S^2: beta_(l,2) = (2l+1)/2 int_0^pi e^(-s/c) P_l(cos s) sin s ds,
+        # (1 + e^(-pi/c)) / (2 (1 + 1/c^2)) at l = 0 and 3 (1 - e^(-pi/c)) / (2 (4 + 1/c^2)) at l = 1
+        c = 0.7
+        beta = models.matern_d_schoenberg(0.5, c, 2, n_max=32)
+        e, a2 = math.exp(-math.pi / c), 1.0 / c**2
+        assert beta.values[0] == pytest.approx((1.0 + e) / (2.0 * (1.0 + a2)), rel=1e-10)
+        assert beta.values[1] == pytest.approx(3.0 * (1.0 - e) / (2.0 * (4.0 + a2)), rel=1e-10)
+
     def test_eta_max_equals_inverse_beta0(self):
         beta = matern_d1_coefficients(1.3, 10)
         assert matern_eta_max_d1(1.3) == pytest.approx(1.0 / beta.values[0], rel=1e-12)
@@ -447,6 +484,18 @@ class TestCompactSupport:
         beta = compact_support_coeffs("spherical", 1.0, 20)
         # beta_(0,1) = (1/pi) int_0^1 (1+u/2)(1-u)^2 du = 3/(8 pi)
         assert beta.values[0] == pytest.approx(3.0 / (8 * math.pi), rel=1e-9)
+
+    @pytest.mark.parametrize("variant", ["askey", "c2_wendland", "c4_wendland", "spherical"])
+    def test_resolve_on_the_circle(self, variant):
+        model = resolve(ModelSpec(variant, {"c": 1.0}, 1, "kernel", rho=0.2))
+        beta = compact_support_coeffs(variant, 1.0, 512)  # resolve keeps at most 513 levels
+        np.testing.assert_array_equal(model.correlation_beta.values, beta.values)
+        eta = 0.2 * surface_measure(1)
+        np.testing.assert_allclose(model.kernel.values, eta * beta.values / multiplicities(512, 1), rtol=1e-14)
+        s = np.linspace(0.0, math.pi, 7)
+        np.testing.assert_array_equal(model.psi(s), compact_support_psi(variant, 1.0)(s))
+        with pytest.raises(ValueError, match="d=1 only"):
+            resolve(ModelSpec(variant, {"c": 1.0}, 2, "kernel", rho=0.01))
 
     def test_nonnegative_up_to_200(self):
         for variant in ("askey", "c2_wendland", "c4_wendland"):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, ks_2samp
 
+from spheredpp.harmonics import index_set
 from spheredpp.models import ModelSpec, most_repulsive_spectrum, resolve
 from spheredpp.sampler import (
     ProjectionBasis,
+    _flat_indices,
     draw_bernoulli_basis,
     sample_dpp,
     sample_projection,
@@ -16,6 +18,35 @@ from spheredpp.spectra import MercerSpectrum
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def index_set_basis(dim, n_levels):
+    """Every eigenfunction of the first n_levels levels, from ``index_set``."""
+    pairs = [(ell, k) for ell in range(n_levels) for k in index_set(ell, dim)]
+    return ProjectionBasis(dim, np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
+
+
+class TestBasisIndices:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_flat_indices_list_every_index_set(self, dim):
+        full = index_set_basis(dim, 200)
+        for n_levels in range(1, 201):
+            levels, orders = _flat_indices(dim, n_levels)
+            np.testing.assert_array_equal(levels, full.levels[full.levels < n_levels])
+            np.testing.assert_array_equal(orders, full.orders[full.levels < n_levels])
+
+    @pytest.mark.parametrize("L", [0, 1, 7, 40])
+    def test_envelope_of_a_full_basis(self, L):
+        # the addition formula sums |Y|^2 over a whole level to m_l / sigma_d
+        for dim, expected in ((2, (L + 1) ** 2 / (4 * math.pi)), (1, (2 * L + 1) / (2 * math.pi))):
+            full = index_set_basis(dim, L + 1)
+            assert full.envelope == pytest.approx(expected, rel=1e-15)
+            # whole levels are counted: one function per level gives the same bound
+            first = np.unique(full.levels, return_index=True)[1]
+            assert ProjectionBasis(dim, full.levels[first], full.orders[first]).envelope == full.envelope
+
+    def test_envelope_of_an_empty_basis(self):
+        assert ProjectionBasis(2, np.array([], dtype=int), np.array([], dtype=int)).envelope == 0.0
 
 
 class TestBernoulliBasis:

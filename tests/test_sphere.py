@@ -197,6 +197,34 @@ class TestEqualAreaProjection:
         assert max(radii) <= 2.0 * math.sin(0.35) + 1e-12
 
 
+class TestSpherePointCoordinates:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_from_vector_round_trips(self, dim):
+        for angles in sample_uniform_angles(dim, 50, np.random.default_rng(21)):
+            point = SpherePoint(dim, tuple(angles))
+            back = SpherePoint.from_vector(point.vector)
+            assert back.dim == dim
+            np.testing.assert_allclose(back.vector, point.vector, atol=1e-15)
+
+    def test_from_vector_angles(self):
+        assert SpherePoint.from_vector([0.0, -1.0]).theta == pytest.approx(1.5 * math.pi)
+        south = SpherePoint.from_vector([0.0, 0.0, -1.0])
+        assert (south.colat, south.lon) == (math.pi, 0.0)
+        east = SpherePoint.from_vector([0.0, 1.0, 0.0])
+        assert east.colat == pytest.approx(math.pi / 2) and east.lon == pytest.approx(math.pi / 2)
+
+    def test_from_vector_rejects(self):
+        with pytest.raises(ValueError, match="not a unit vector"):
+            SpherePoint.from_vector([1.0, 1.0])
+        with pytest.raises(ValueError, match="2- or 3-vector"):
+            SpherePoint.from_vector([1.0, 0.0, 0.0, 0.0])
+
+    def test_theta_is_the_circle_coordinate(self):
+        assert SpherePoint.circle(-0.5).theta == pytest.approx(2 * math.pi - 0.5)
+        with pytest.raises(ValueError, match="theta is the d=1 coordinate"):
+            SpherePoint.s2(1.0, 2.0).theta
+
+
 class TestPointPattern:
     def test_rejects_mixed_dims(self):
         with pytest.raises(ValueError):
