@@ -517,11 +517,13 @@ def eval_radial_series(coeffs, dim: int, s):
 
     with eps_0 = 1 and eps_j = 2 for j > 0, in np.longdouble (an O(L^2)
     map of positive weights: R_n is a convex combination of cosines, so
-    sum_j |a_j| <= sum_l |c_l|).  ``_cosine_series`` then sums
-    sum_j a_j cos(j s) by Reinsch's form of Clenshaw's recurrence, four
-    in-place passes per level over 64-byte-aligned work arrays.  Memory is
-    five arrays of s.size (four of them from one allocation), whatever the
-    level count.
+    sum_j |a_j| <= sum_l |c_l|).  ``_cosine_series`` then evaluates
+    sum_j a_j cos(j s) by one FFT onto a uniform grid, read off at each s by
+    a local Lagrange interpolant whose error is certified below
+    2^-53 sum_(j>=1) |a_j|.  The series is even and 2 pi-periodic, so every
+    real s is accepted, and NaN gives NaN.  The cost per point does not
+    depend on the level count; memory is the grid, which grows with the
+    levels, plus a fixed number of arrays of s.size.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     arr = np.asarray(s, dtype=float)
@@ -554,67 +556,126 @@ def _cosine_coefficients(coeffs: np.ndarray, lam: float) -> np.ndarray:
     return a.astype(float)
 
 
-_CACHE_LINE = 64  # bytes
+# A point in the grid cell [k, k + 1] (in grid steps) is read off by the
+# P-point Lagrange interpolant on the nodes k + m, m = 1 - P/2 .. P/2.
+_STENCIL = 10  # P, even
+_NODES = tuple(range(1 - _STENCIL // 2, _STENCIL // 2 + 1))
+_BARY = tuple(1.0 / math.prod(m - i for i in _NODES if i != m) for m in _NODES)
+# C_P / P!, with C_P = prod_m |1/2 - m| the largest |prod_m (theta - m)| on the cell
+_REMAINDER = math.prod(abs(0.5 - m) for m in _NODES) / math.factorial(_STENCIL)
+_BLOCK = 8192  # points per pass
+_PI_TAIL = 1.2246467991473532e-16  # pi - math.pi
+# A point closer than 2^-60 steps to a node takes the node's value, which
+# moves the result by less than pi 2^-60 sum |a_j|.  Near a node,
+# |prod_m (theta - m)| is that distance times prod_(m != 0) |m|.
+_SNAP = 2.0**-60 * math.prod(abs(m) for m in _NODES if m != 0)
 
 
-def _aligned_rows(rows: int, n: int) -> np.ndarray:
-    """Uninitialized float64 array of shape (rows, n), from one allocation, with
-    every row starting on a cache line (rows are padded to whole lines)."""
-    per_line = _CACHE_LINE // 8
-    stride = -(-n // per_line) * per_line
-    raw = np.empty(rows * stride + per_line - 1)
-    start = -raw.ctypes.data % _CACHE_LINE // 8
-    return raw[start : start + rows * stride].reshape(rows, stride)[:, :n]
+def _grid_size(a: np.ndarray) -> int:
+    """Smallest power of two M > L = len(a) - 1 with
+
+        (C_P / P!) sum_(j>=1) |a_j| (j pi / M)^P <= 2^-53 sum_(j>=1) |a_j|.
+
+    The left side bounds the error of the P-point interpolant of
+    f(s) = sum_(j>=1) a_j cos(j s) on a grid of step pi / M, because
+    |f^(P)| <= sum_j |a_j| j^P."""
+    mag = np.abs(a[1:])
+    moment = float(mag @ np.arange(1, len(a), dtype=float) ** _STENCIL)
+    budget = 2.0**-53 * float(np.sum(mag))
+    grid = 1 << (len(a) - 1).bit_length()
+    while _REMAINDER * moment * (math.pi / grid) ** _STENCIL > budget:
+        grid *= 2
+    return grid
+
+
+def _split_pi(bits: int) -> tuple[float, float]:
+    """(hi, lo) with hi + lo = pi to about 2^-(52 + bits) relative and hi cut
+    to ``bits`` significant bits, so that k hi is exact for integers
+    k < 2^(53 - bits) (Cody and Waite)."""
+    exp = math.frexp(math.pi)[1]
+    hi = math.ldexp(math.floor(math.ldexp(math.pi, bits - exp)), exp - bits)
+    return hi, (math.pi - hi) + _PI_TAIL
 
 
 def _cosine_series(a: np.ndarray, flat: np.ndarray) -> np.ndarray:
     """sum_j a_j cos(j s) at the points of the 1-d array ``flat``, as a new array.
 
-    Reinsch's form of Clenshaw's backward sum: with w = 2(cos s - 1) =
-    -4 sin^2(s/2), the Clenshaw sums b_j = a_j + 2 cos(s) b_(j+1) - b_(j+2)
-    split, through e_j = b_j - b_(j+1), into
-
-        e_j = a_j + w b_(j+1) + e_(j+1),   b_j = e_j + b_(j+1),
-
-    and the sum is b_0 = a_0 + (w/2) b_1 + e_1: level 0 takes half of w b_1,
-    because cos s is x times cos 0, not 2x.  Near s = 0 the b_j
-    grow like j^2 but enter only through w b, which stays small: plain
-    Clenshaw loses about a factor L^2 there.  Points with cos s < 0 use
-    cos(j (pi - s)) = (-1)^j cos(j s): they are summed at pi - s, where
-    w = -4 cos^2(s/2), with alternating coefficients.  Each level is four
-    in-place passes over w, b, e and t, which share one allocation and each
-    start on a cache line, so the passes do not depend on where the heap
-    put them.
+    f(s) = sum_(j>=1) a_j cos(j s) is a trigonometric polynomial, so one real
+    FFT of length 2M gives it at s = k pi / M, up to rounding, with M from
+    ``_grid_size``.  f is even and 2 pi-periodic: each s outside [0, pi] is
+    taken as |s - n 2 pi| for the nearest integer n, and the grid is padded
+    past 0 and pi by the same symmetry.  Each point is then read off its
+    cell by the first barycentric form of the P-point Lagrange interpolant,
+    whose error M certifies below 2^-53 sum_(j>=1) |a_j|.  Both s - n 2 pi
+    and the offset s - k pi / M are taken with pi split in two
+    (``_split_pi``), so they keep the digits of s for |s| < 2^20 2 pi; a
+    point within 2^-60 steps of a node takes the node's value.  a_0 is added
+    last, so a constant series is exact.  This is the interpolation form of
+    the non-equispaced FFT (Dutt and Rokhlin 1993; Greengard and Lee 2004).
+    Points are read in blocks of _BLOCK, and each step is elementwise, so a
+    point's value does not depend on the other points: memory is the grid,
+    the result and a fixed number of block-sized arrays.
     """
-    n = flat.size
-    alternating = a.copy()
-    alternating[1::2] *= -1.0
-    neg = np.cos(flat) < 0.0
-    n_pos = n - int(np.count_nonzero(neg))
-    w, b, e, t = _aligned_rows(4, n)
-    w[:n_pos] = flat[~neg]
-    w[n_pos:] = flat[neg]
-    w *= 0.5
-    np.sin(w[:n_pos], out=w[:n_pos])
-    np.cos(w[n_pos:], out=w[n_pos:])
-    w *= w
-    w *= -4.0
-    b.fill(0.0)
-    e.fill(0.0)
-    for j in range(len(a) - 1, 0, -1):
-        np.multiply(w, b, out=t)
-        e += t
-        e[:n_pos] += a[j]
-        e[n_pos:] += alternating[j]
-        b += e
-    np.multiply(w, b, out=t)
-    t *= 0.5
-    e += t
-    e[:n_pos] += a[0]
-    e[n_pos:] += alternating[0]
-    out = np.empty(n)
-    out[~neg] = e[:n_pos]
-    out[neg] = e[n_pos:]
+    if not np.any(a[1:]):
+        return np.full(flat.size, a[0])
+    grid = _grid_size(a)
+    spec = np.zeros(grid + 1, dtype=complex)
+    spec.real[1 : len(a)] = a[1:]
+    spec *= grid  # irfft divides by 2 grid, and each cosine is two exponentials
+    values = np.fft.irfft(spec, 2 * grid)  # f(k pi / grid), k = 0 .. 2 grid - 1
+    del spec
+    half = _STENCIL // 2
+    padded = values[np.arange(1 - half, grid + half + 1) % (2 * grid)]
+    del values
+    scale = grid / math.pi
+    pi_hi, pi_lo = _split_pi(53 - (grid - 1).bit_length())  # cell * step_hi is exact
+    step_hi, step_lo = pi_hi / grid, pi_lo / grid
+    if not (flat.min() >= 0.0 and flat.max() <= math.pi):
+        turn_hi, turn_lo = _split_pi(33)  # 2 turn_hi is exact times any n < 2^20
+        flat = np.abs(flat)
+        turns = np.rint(flat / (2.0 * math.pi))
+        flat -= turns * (2.0 * turn_hi)
+        flat -= turns * (2.0 * turn_lo)
+        np.abs(flat, out=flat)
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, _BLOCK):
+        s = flat[start : start + _BLOCK]
+        res = out[start : start + _BLOCK]
+        cell = s * scale
+        np.floor(cell, out=cell)  # at most grid, which the padding covers
+        np.fmax(cell, 0.0, out=cell)  # NaN goes to cell 0 and stays in theta
+        theta = s - cell * step_hi
+        theta -= cell * step_lo
+        theta *= scale  # the offset in steps, in [0, 1] up to rounding
+        cell = cell.astype(np.intp)
+        # omega = prod_m (theta - m), the factors for m and 1 - m paired as
+        # (theta - m) (theta - 1 + m) = theta (theta - 1) - m (m - 1)
+        quad = theta - 1.0
+        quad *= theta
+        omega = quad.copy()
+        work = np.empty_like(theta)
+        for m in range(2, half + 1):
+            np.subtract(quad, m * (m - 1), out=work)
+            omega *= work
+        snap = np.abs(omega) < _SNAP
+        snapped = snap.any()
+        if snapped:
+            at_node = padded[cell[snap] + (half - 1) + (theta[snap] > 0.5)]
+            theta[snap] = 0.5  # off every node; the value is replaced below
+        # res = omega sum_m bary_m f(k + m) / (theta - m)
+        res.fill(0.0)
+        term = np.empty_like(theta)
+        for m, bary in zip(_NODES, _BARY):
+            # every index is in range; "clip" only spares take its buffered copy
+            np.take(padded[m + half - 1 :], cell, out=term, mode="clip")
+            np.subtract(theta, m, out=work)
+            term /= work
+            term *= bary
+            res += term
+        res *= omega
+        if snapped:
+            res[snap] = at_node
+    out += a[0]
     return out
 
 

@@ -3,8 +3,10 @@
 scipy is loaded only by the Matern kernel with nu < 1/2 (``matern_psi``) and
 by the tests.  Gauss-Legendre nodes are built only for the families whose
 coefficients come from quadrature (Matern and the compactly supported ones),
-so the benchmark's models leave the node cache empty.  The check runs in a
-fresh interpreter, because this test process has imported scipy already.
+so the benchmark's models leave the node cache empty.  numpy.fft is loaded
+only when a radial series is summed, which of the benchmark's commands only
+``mle`` does.  The checks run in a fresh interpreter, because this test
+process has imported scipy already.
 The models and the fit pattern are the benchmark's own
 (``perfbench/inputs.py``, standard library and numpy only).
 """
@@ -64,3 +66,18 @@ def test_command_paths_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     loaded = json.loads(proc.stdout.strip().splitlines()[-1])
     assert loaded == {"import": [], "resolve": [], "commands": [], "quadrature_node_sets": 0}
+
+
+def test_cli_import_leaves_numpy_fft_unloaded():
+    # of the benchmark's commands only mle sums a radial series, so the others
+    # must not pay for numpy.fft; the evaluator loads it on its first call
+    script = (
+        "import sys, spheredpp.cli\n"
+        "before = 'numpy.fft' in sys.modules\n"
+        "spheredpp.spectra.eval_radial_series([0.5, 0.5], 2, 1.0)\n"
+        "print(before, 'numpy.fft' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["False", "True"]

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -430,6 +431,32 @@ def test_eval_matrix_memory_follows_the_basis():
     assert peak <= 8 * n * 128 * 16, (peak, n, basis.max_level)
 
 
+@functools.cache
+def _delta_derivatives(dim, reps, h):
+    """Central first and second differences in delta of log f over ``reps``
+    patterns drawn under the TestScoreIdentity model, one array each."""
+    from spheredpp.likelihood import DensityContext, log_density
+    from spheredpp.spectra import TruncationPolicy
+
+    def model(delta):
+        return resolve(
+            ModelSpec(
+                "multiquadric", {"tau": 10.0, "delta": delta}, dim, "density",
+                chi=6.0, trunc=TruncationPolicy(tail_tol=1e-12),
+            )
+        )
+
+    truth = model(0.5)
+    lo, mid, hi = (DensityContext(model(0.5 + s * h).density) for s in (-1, 0, 1))
+    scores, curvatures = [], []
+    for r in range(reps):
+        pattern = sample_dpp(truth, np.random.default_rng([2026 + dim, r])).pattern
+        at_lo, at_mid, at_hi = (log_density(pattern, ctx) for ctx in (lo, mid, hi))
+        scores.append((at_hi - at_lo) / (2 * h))
+        curvatures.append((at_hi - 2.0 * at_mid + at_lo) / h**2)
+    return np.array(scores), np.array(curvatures)
+
+
 class TestScoreIdentity:
     # Under theta_0 the delta-score of the density has mean exactly 0 at every
     # sample size (Bartlett's first identity), so sampler, log-determinant and
@@ -441,25 +468,19 @@ class TestScoreIdentity:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_delta_score_has_mean_zero(self, dim):
-        from spheredpp.likelihood import DensityContext, log_density
-        from spheredpp.spectra import TruncationPolicy
-
-        def model(delta):
-            return resolve(
-                ModelSpec(
-                    "multiquadric", {"tau": 10.0, "delta": delta}, dim, "density",
-                    chi=6.0, trunc=TruncationPolicy(tail_tol=1e-12),
-                )
-            )
-
-        truth = model(0.5)
-        lo, hi = (DensityContext(model(0.5 + s * self.H).density) for s in (-1, 1))
-        scores = []
-        for r in range(self.REPS):
-            pattern = sample_dpp(truth, np.random.default_rng([2026 + dim, r])).pattern
-            scores.append((log_density(pattern, hi) - log_density(pattern, lo)) / (2 * self.H))
-        scores = np.array(scores)
+        scores, _ = _delta_derivatives(dim, self.REPS, self.H)
         z = scores.mean() / (scores.std(ddof=1) / math.sqrt(self.REPS))
+        assert abs(z) <= 4.0, z
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_score_variance_is_the_information(self, dim):
+        # Bartlett's second identity, Var(score) = E[-d^2 log f / d delta^2], on
+        # the same replicates; the score has mean 0, so Var(score) = E[score^2].
+        # The second difference divides by h^2 = 1e-8, which magnifies any
+        # roughness of the radial series in its coefficients.
+        scores, curvatures = _delta_derivatives(dim, self.REPS, self.H)
+        excess = scores**2 + curvatures
+        z = excess.mean() / (excess.std(ddof=1) / math.sqrt(self.REPS))
         assert abs(z) <= 4.0, z
 
 

@@ -316,14 +316,6 @@ class TestRadialSeriesEvaluator:
             err = np.abs(eval_radial_series(coeffs, dim, s) - coeffs @ rows[: top + 1])
             assert np.max(err) <= 1e-14 * np.sum(np.abs(coeffs))
 
-    def test_work_rows_start_on_cache_lines(self):
-        for n in range(1, 1001):
-            rows = spectra._aligned_rows(4, n)
-            starts = [row.ctypes.data for row in rows]
-            assert rows.shape == (4, n)
-            assert all(start % 64 == 0 for start in starts)
-            assert all(b - a >= 8 * n for a, b in zip(starts, starts[1:]))
-
     @pytest.mark.parametrize("dim", [1, 2])
     def test_result_holds_only_its_values(self, dim):
         s = np.random.default_rng(2).uniform(0.0, math.pi, (40, 45))
@@ -366,6 +358,113 @@ class TestRadialSeriesEvaluator:
             tracemalloc.stop()
         assert max(peaks) <= 6 * n * 8
         assert abs(peaks[1] - peaks[0]) <= 64 * 1001 * 8  # level-sized arrays only
+
+
+def _radial_reference(coeffs, dim, s):
+    """sum_l c_l R_l(cos s) with every row taken in np.longdouble: cos(l s) on S^1,
+    ``_normalized_gegenbauer_ext`` on S^d, d >= 2."""
+    levels = len(coeffs) - 1
+    if dim == 1:
+        ells = np.arange(levels + 1, dtype=np.longdouble)
+        rows = np.cos(np.multiply.outer(ells, np.asarray(s, dtype=np.longdouble)))
+    else:
+        rows = _normalized_gegenbauer_ext(levels, (dim - 1) / 2.0, s)
+    return (np.asarray(coeffs, dtype=np.longdouble) @ rows).astype(float)
+
+
+needs_long_double = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended long double"
+)
+
+
+class TestRadialSeriesDomain:
+    """The series is even and 2 pi-periodic in s, and every real s, NaN and the
+    evaluator's own grid nodes are inputs it must take."""
+
+    LEVELS = 40
+
+    def coeffs(self, dim):
+        rng = np.random.default_rng(30 + dim)
+        return rng.standard_normal(self.LEVELS + 1) * 0.95 ** np.arange(self.LEVELS + 1)
+
+    @needs_long_double
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_even_and_periodic(self, dim):
+        coeffs = self.coeffs(dim)
+        scale = np.sum(np.abs(coeffs))
+        # multiples of 2^-50, so that 2 pi - s is exact in double precision
+        s = np.round(np.random.default_rng(dim).uniform(0.0, math.pi, 500) * 2.0**50) / 2.0**50
+        s = np.concatenate([[0.0, 1e-300, 1e-8, math.pi], s])
+        values = eval_radial_series(coeffs, dim, s)
+        np.testing.assert_array_equal(eval_radial_series(coeffs, dim, -s), values)
+        # the double 2 pi lies 2.45e-16 below 2 pi, which moves the series by at
+        # most that times sum_l l |c_l| (Bernstein's inequality)
+        slack = 2.5e-16 * np.sum(np.arange(len(coeffs)) * np.abs(coeffs))
+        mirrored = eval_radial_series(coeffs, dim, 2.0 * math.pi - s)
+        assert np.max(np.abs(mirrored - values)) <= 1e-15 * scale + slack
+        wide = np.array([7.0, -7.0, 2.0 * math.pi, 12.5, -100.0, 1e5])
+        err = np.abs(eval_radial_series(coeffs, dim, wide) - _radial_reference(coeffs, dim, wide))
+        assert np.max(err) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_nan_gives_nan(self, dim):
+        coeffs = self.coeffs(dim)
+        s = np.random.default_rng(5).uniform(0.0, math.pi, 20000)
+        holes = np.zeros(s.size, dtype=bool)
+        holes[[0, 1, 8191, 8192, 12345, s.size - 1]] = True
+        with np.errstate(all="raise"):
+            values = eval_radial_series(coeffs, dim, np.where(holes, np.nan, s))
+        assert np.all(np.isnan(values[holes]))
+        np.testing.assert_array_equal(values[~holes], eval_radial_series(coeffs, dim, s[~holes]))
+        assert math.isnan(eval_radial_series(coeffs, dim, math.nan))
+
+    @needs_long_double
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_grid_nodes(self, dim):
+        coeffs = self.coeffs(dim)
+        cosine = coeffs if dim == 1 else spectra._cosine_coefficients(coeffs, (dim - 1) / 2.0)
+        grid = spectra._grid_size(cosine)
+        s = np.concatenate([np.arange(grid + 1) * (math.pi / grid), [0.0, math.pi]])
+        with np.errstate(all="raise"):
+            values = eval_radial_series(coeffs, dim, s)
+        err = np.abs(values - _radial_reference(coeffs, dim, s))
+        assert np.max(err) <= 1e-14 * np.sum(np.abs(coeffs))
+
+
+def _interpolation_bound(a, grid):
+    """(C_P / P!) sum_(j>=1) |a_j| (j pi / M)^P, C_P = prod_(m=1-P/2..P/2) |1/2 - m|."""
+    p = spectra._STENCIL
+    c_p = math.prod(abs(0.5 - m) for m in range(1 - p // 2, p // 2 + 1))
+    j = np.arange(1, len(a), dtype=float)
+    return c_p / math.factorial(p) * float(np.sum(np.abs(a[1:]) * (j * math.pi / grid) ** p))
+
+
+class TestGridRule:
+    """The grid of ``_cosine_series`` is the smallest power of two past L whose
+    interpolation bound is within 2^-53 sum_(j>=1) |a_j|: certified, not tuned."""
+
+    def check(self, a):
+        grid = spectra._grid_size(a)
+        levels = len(a) - 1
+        budget = 2.0**-53 * float(np.sum(np.abs(a[1:])))
+        assert grid > levels and grid & (grid - 1) == 0
+        assert _interpolation_bound(a, grid) <= budget
+        assert grid // 2 <= levels or _interpolation_bound(a, grid // 2) > budget
+
+    @pytest.mark.parametrize("levels", [1, 68, 143, 1000, 9000])
+    def test_random_coefficients(self, levels):
+        rng = np.random.default_rng(levels)
+        self.check(rng.standard_normal(levels + 1))
+        self.check(rng.uniform(0.0, 1.0, levels + 1) * 0.99 ** np.arange(levels + 1))
+
+    @pytest.mark.parametrize("delta", [0.66, 0.82])
+    def test_fit_sequences(self, delta):
+        from spheredpp.models import ModelSpec, resolve
+
+        # the coefficients of DensityContext.radial for the fit workload's model
+        model = resolve(ModelSpec("multiquadric", {"tau": 10.0, "delta": delta}, 2, "density", chi=1.0))
+        coeffs = model.density.values * model.density.mults / surface_measure(2)
+        self.check(spectra._cosine_coefficients(coeffs, 0.5))
 
 
 class TestAppendixBArgmax:
