@@ -17,8 +17,9 @@ the complex spherical harmonics are
 ``gegenbauer_rows`` yields the Gegenbauer levels one at a time, for the
 coefficient quadrature and the Gauss-Legendre nodes; radial series are summed
 by ``spectra.eval_radial_series``, which rewrites a series on any S^d as a
-cosine series (DLMF 18.5.11), takes that onto a uniform grid by one FFT and
-reads each point off the grid by certified local interpolation.  The normalized
+cosine series (DLMF 18.5.11), tabulates its Taylor terms on a uniform grid by
+one FFT each and reads each point off its nearest node as a Taylor polynomial
+with a certified remainder.  The normalized
 associated-Legendre recurrence runs in one evaluator, ``norm_plm_rows``, for
 any set of rows (l, m): once per order up to the highest level the rows need,
 at points shared by every row (``sampler.ProjectionBasis.eval_matrix``

@@ -474,7 +474,9 @@ def matern_d_schoenberg(
 ) -> DSchoenbergSeq:
     """Matern d-Schoenberg coefficients; exact for nu=1/2 on S^1, else
     by quadrature.  The series decays like l^(-2 nu - d), so the
-    recorded tail bound is not small for small nu."""
+    recorded tail is not small for small nu.  That tail is 1 - sum(values)
+    (for nu = 1/2 on S^1, the smaller of it and the 1/l^2 majorant), which
+    rounds: an estimate of the mass past n_max, not a bound."""
     if nu == 0.5 and dim == 1:
         return matern_d1_coefficients(c, n_max)
     return d_schoenberg_from_psi(matern_psi(nu, c), dim, n_max, quad)
@@ -613,10 +615,21 @@ def _c4w_base_beta(u):
     return np.where(small, _eval_even_series(_C4W_SERIES, u), full)
 
 
+# (F, beta_0, majorant): the majorant is F(u) <= sum_i w_i u^(-k_i) for u > 0 as
+# (w_i, k_i) pairs, from the numerator bounds
+#   askey:       u^2 + 2 cos u - 2 <= u^2
+#   c2_wendland: u^2 + u sin u + 4 cos u - 4 <= u^2 + u
+#   c4_wendland: 4 u (u^2 - 18) - 3 (u^2 - 35) sin u - 33 u cos u <= 4 u^3 + 3 u^2 + 105
 _BASE_BETA = {
-    "askey": (_askey_base_beta, 1.0 / (4.0 * math.pi)),
-    "c2_wendland": (_c2w_base_beta, 1.0 / (3.0 * math.pi)),
-    "c4_wendland": (_c4w_base_beta, 8.0 / (27.0 * math.pi)),
+    "askey": (_askey_base_beta, 1.0 / (4.0 * math.pi), ((6.0 / math.pi, 2),)),
+    "c2_wendland": (
+        _c2w_base_beta, 1.0 / (3.0 * math.pi), ((240.0 / math.pi, 4), (240.0 / math.pi, 5))
+    ),
+    "c4_wendland": (
+        _c4w_base_beta,
+        8.0 / (27.0 * math.pi),
+        ((4 * 8960.0 / math.pi, 6), (3 * 8960.0 / math.pi, 7), (105 * 8960.0 / math.pi, 9)),
+    ),
 }
 
 
@@ -645,20 +658,27 @@ def compact_support_coeffs(variant: str, c: float, n_max: int) -> DSchoenbergSeq
 
     Closed forms: beta_(l,1)(c) = c * F(c l) with F the unit-scale
     coefficient function, valid while the support [0, c] stays inside
-    [0, pi].  The spherical variant (no closed form is reproduced here)
-    and any c > pi fall back to quadrature with a panel split at s = c.
+    [0, pi].  Their tail bound comes from a majorant F(u) <= sum_i w_i u^(-k_i)
+    (see ``_BASE_BETA``) and sum_(l>L) l^(-k) <= L^(1-k) / (k - 1), so the
+    mass past L = n_max is at most sum_i w_i (c L)^(1-k_i) / (k_i - 1): a
+    bound, which 1 - sum(values) is not, since that difference rounds.  The
+    spherical variant (no closed form is reproduced here) and any c > pi
+    fall back to quadrature with a panel split at s = c, and keep the
+    quadrature's 1 - sum(values) as their tail, an estimate.
     """
     _check_compact(variant, c)
     if variant == "spherical" or c > math.pi:
         quad = QuadratureSpec(split_points=(min(c, math.pi),) if c < math.pi else ())
         return d_schoenberg_from_psi(compact_support_psi(variant, c), 1, n_max, quad)
-    beta_fn, beta0 = _BASE_BETA[variant]
+    beta_fn, beta0, majorant = _BASE_BETA[variant]
     values = np.empty(n_max + 1)
     values[0] = c * beta0
     ells = np.arange(1, n_max + 1, dtype=float)
     values[1:] = c * beta_fn(c * ells)
     values = np.maximum(values, 0.0)
-    tail = min(1.0, max(0.0, 1.0 - float(np.sum(values))))
+    tail = 1.0  # the whole mass, and all that n_max = 0 allows
+    if n_max > 0:
+        tail = min(tail, sum(w / ((k - 1) * (c * n_max) ** (k - 1)) for w, k in majorant))
     return DSchoenbergSeq(1, values, tail_bound=tail)
 
 

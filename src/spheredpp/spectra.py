@@ -372,6 +372,8 @@ def d_schoenberg_from_psi(
 
     Coefficients below -1e-8 mean psi is not a valid correlation on S^d
     and raise; values in [-1e-8, 0) are treated as roundoff and clamped.
+    The recorded tail is 1 - sum(values), which rounds and carries the
+    quadrature's own error: an estimate of the mass past n_max, not a bound.
     """
     splits = sorted(p for p in quad.split_points if 0.0 < p < math.pi)
     edges = [0.0] + splits + [math.pi]
@@ -517,13 +519,14 @@ def eval_radial_series(coeffs, dim: int, s):
 
     with eps_0 = 1 and eps_j = 2 for j > 0, in np.longdouble (an O(L^2)
     map of positive weights: R_n is a convex combination of cosines, so
-    sum_j |a_j| <= sum_l |c_l|).  ``_cosine_series`` then evaluates
-    sum_j a_j cos(j s) by one FFT onto a uniform grid, read off at each s by
-    a local Lagrange interpolant whose error is certified below
-    2^-53 sum_(j>=1) |a_j|.  The series is even and 2 pi-periodic, so every
-    real s is accepted, and NaN gives NaN.  The cost per point does not
-    depend on the level count; memory is the grid, which grows with the
-    levels, plus a fixed number of arrays of s.size.
+    sum_j |a_j| <= sum_l |c_l|).  ``_cosine_series`` then tabulates the
+    first P Taylor terms of sum_j a_j cos(j s) at the nodes of a uniform
+    grid, one FFT per term, and reads each s off its nearest node by
+    Horner's rule; the grid is chosen so that the Taylor remainder is
+    certified below 2^-53 sum_(j>=1) |a_j|.  The series is even and
+    2 pi-periodic, so every real s is accepted, and NaN gives NaN.  The cost
+    per point does not depend on the level count; memory is the P-row table,
+    which grows with the levels, plus a fixed number of arrays of s.size.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     arr = np.asarray(s, dtype=float)
@@ -556,34 +559,24 @@ def _cosine_coefficients(coeffs: np.ndarray, lam: float) -> np.ndarray:
     return a.astype(float)
 
 
-# A point in the grid cell [k, k + 1] (in grid steps) is read off by the
-# P-point Lagrange interpolant on the nodes k + m, m = 1 - P/2 .. P/2.
-_STENCIL = 10  # P, even
-_NODES = tuple(range(1 - _STENCIL // 2, _STENCIL // 2 + 1))
-_BARY = tuple(1.0 / math.prod(m - i for i in _NODES if i != m) for m in _NODES)
-# C_P / P!, with C_P = prod_m |1/2 - m| the largest |prod_m (theta - m)| on the cell
-_REMAINDER = math.prod(abs(0.5 - m) for m in _NODES) / math.factorial(_STENCIL)
-_BLOCK = 8192  # points per pass
+_ORDER = 12  # P, the Taylor terms tabulated at each grid node
+_BLOCK = 16384  # points per pass
 _PI_TAIL = 1.2246467991473532e-16  # pi - math.pi
-# A point closer than 2^-60 steps to a node takes the node's value, which
-# moves the result by less than pi 2^-60 sum |a_j|.  Near a node,
-# |prod_m (theta - m)| is that distance times prod_(m != 0) |m|.
-_SNAP = 2.0**-60 * math.prod(abs(m) for m in _NODES if m != 0)
 
 
 def _grid_size(a: np.ndarray) -> int:
     """Smallest power of two M > L = len(a) - 1 with
 
-        (C_P / P!) sum_(j>=1) |a_j| (j pi / M)^P <= 2^-53 sum_(j>=1) |a_j|.
+        (1/2)^P / P! sum_(j>=1) |a_j| (j pi / M)^P <= 2^-53 sum_(j>=1) |a_j|.
 
-    The left side bounds the error of the P-point interpolant of
-    f(s) = sum_(j>=1) a_j cos(j s) on a grid of step pi / M, because
-    |f^(P)| <= sum_j |a_j| j^P."""
+    The left side bounds the remainder of the P-term Taylor polynomial of
+    f(s) = sum_(j>=1) a_j cos(j s) at a grid node, within half a step pi / M
+    of it, because |f^(P)| <= sum_j |a_j| j^P."""
     mag = np.abs(a[1:])
-    moment = float(mag @ np.arange(1, len(a), dtype=float) ** _STENCIL)
-    budget = 2.0**-53 * float(np.sum(mag))
+    moment = float(mag @ np.arange(1, len(a), dtype=float) ** _ORDER)
+    budget = 2.0**-53 * float(np.sum(mag)) * math.factorial(_ORDER)
     grid = 1 << (len(a) - 1).bit_length()
-    while _REMAINDER * moment * (math.pi / grid) ** _STENCIL > budget:
+    while moment * (0.5 * math.pi / grid) ** _ORDER > budget:
         grid *= 2
     return grid
 
@@ -591,7 +584,7 @@ def _grid_size(a: np.ndarray) -> int:
 def _split_pi(bits: int) -> tuple[float, float]:
     """(hi, lo) with hi + lo = pi to about 2^-(52 + bits) relative and hi cut
     to ``bits`` significant bits, so that k hi is exact for integers
-    k < 2^(53 - bits) (Cody and Waite)."""
+    k <= 2^(53 - bits) (Cody and Waite)."""
     exp = math.frexp(math.pi)[1]
     hi = math.ldexp(math.floor(math.ldexp(math.pi, bits - exp)), exp - bits)
     return hi, (math.pi - hi) + _PI_TAIL
@@ -600,35 +593,37 @@ def _split_pi(bits: int) -> tuple[float, float]:
 def _cosine_series(a: np.ndarray, flat: np.ndarray) -> np.ndarray:
     """sum_j a_j cos(j s) at the points of the 1-d array ``flat``, as a new array.
 
-    f(s) = sum_(j>=1) a_j cos(j s) is a trigonometric polynomial, so one real
-    FFT of length 2M gives it at s = k pi / M, up to rounding, with M from
-    ``_grid_size``.  f is even and 2 pi-periodic: each s outside [0, pi] is
-    taken as |s - n 2 pi| for the nearest integer n, and the grid is padded
-    past 0 and pi by the same symmetry.  Each point is then read off its
-    cell by the first barycentric form of the P-point Lagrange interpolant,
-    whose error M certifies below 2^-53 sum_(j>=1) |a_j|.  Both s - n 2 pi
-    and the offset s - k pi / M are taken with pi split in two
-    (``_split_pi``), so they keep the digits of s for |s| < 2^20 2 pi; a
-    point within 2^-60 steps of a node takes the node's value.  a_0 is added
-    last, so a constant series is exact.  This is the interpolation form of
-    the non-equispaced FFT (Dutt and Rokhlin 1993; Greengard and Lee 2004).
-    Points are read in blocks of _BLOCK, and each step is elementwise, so a
-    point's value does not depend on the other points: memory is the grid,
-    the result and a fixed number of block-sized arrays.
+    f(s) = sum_(j>=1) a_j cos(j s) is a trigonometric polynomial, and so is
+    each derivative f^(p).  With M from ``_grid_size`` and h = pi / M, row p
+    of a (P, M + 1) table holds h^p / p! f^(p)(k h) at the nodes k = 0 .. M,
+    each row one real FFT of length 2M whose spectrum is a_j (i j h)^p / p!.
+    f is even and 2 pi-periodic: each s outside [0, pi] is taken as
+    |s - n 2 pi| for the nearest integer n.  Each point then takes its
+    nearest node k and its offset u = (s - k h) / h, |u| <= 1/2, and is read
+    off as the Taylor polynomial sum_p row_p[k] u^p by Horner's rule, whose
+    remainder M certifies below 2^-53 sum_(j>=1) |a_j|.  Both s - n 2 pi and
+    s - k h are taken with pi split in two (``_split_pi``), so they keep the
+    digits of s for |s| < 2^20 2 pi.  NaN goes to node 0 and stays NaN in u.
+    a_0 is added last, so a constant series is exact.  This is the Taylor
+    form of the non-equispaced FFT (Anderson and Dahleh 1996; Dutt and
+    Rokhlin 1993).  Points are read in blocks of _BLOCK, and each step is
+    elementwise, so a point's value does not depend on the other points:
+    memory is the table, the result and a fixed number of block-sized arrays.
     """
     if not np.any(a[1:]):
         return np.full(flat.size, a[0])
     grid = _grid_size(a)
+    table = np.empty((_ORDER, grid + 1))
     spec = np.zeros(grid + 1, dtype=complex)
-    spec.real[1 : len(a)] = a[1:]
-    spec *= grid  # irfft divides by 2 grid, and each cosine is two exponentials
-    values = np.fft.irfft(spec, 2 * grid)  # f(k pi / grid), k = 0 .. 2 grid - 1
+    spec.real[1 : len(a)] = a[1:] * grid  # irfft divides by 2 grid; a cosine is two exponentials
+    rotate = 1j * (math.pi / grid) * np.arange(1, len(a))
+    for p in range(_ORDER):
+        if p:
+            spec[1 : len(a)] *= rotate / p
+        table[p] = np.fft.irfft(spec, 2 * grid)[: grid + 1]
     del spec
-    half = _STENCIL // 2
-    padded = values[np.arange(1 - half, grid + half + 1) % (2 * grid)]
-    del values
     scale = grid / math.pi
-    pi_hi, pi_lo = _split_pi(53 - (grid - 1).bit_length())  # cell * step_hi is exact
+    pi_hi, pi_lo = _split_pi(53 - (grid - 1).bit_length())  # node * step_hi is exact, node <= grid
     step_hi, step_lo = pi_hi / grid, pi_lo / grid
     if not (flat.min() >= 0.0 and flat.max() <= math.pi):
         turn_hi, turn_lo = _split_pi(33)  # 2 turn_hi is exact times any n < 2^20
@@ -641,40 +636,21 @@ def _cosine_series(a: np.ndarray, flat: np.ndarray) -> np.ndarray:
     for start in range(0, flat.size, _BLOCK):
         s = flat[start : start + _BLOCK]
         res = out[start : start + _BLOCK]
-        cell = s * scale
-        np.floor(cell, out=cell)  # at most grid, which the padding covers
-        np.fmax(cell, 0.0, out=cell)  # NaN goes to cell 0 and stays in theta
-        theta = s - cell * step_hi
-        theta -= cell * step_lo
-        theta *= scale  # the offset in steps, in [0, 1] up to rounding
-        cell = cell.astype(np.intp)
-        # omega = prod_m (theta - m), the factors for m and 1 - m paired as
-        # (theta - m) (theta - 1 + m) = theta (theta - 1) - m (m - 1)
-        quad = theta - 1.0
-        quad *= theta
-        omega = quad.copy()
-        work = np.empty_like(theta)
-        for m in range(2, half + 1):
-            np.subtract(quad, m * (m - 1), out=work)
-            omega *= work
-        snap = np.abs(omega) < _SNAP
-        snapped = snap.any()
-        if snapped:
-            at_node = padded[cell[snap] + (half - 1) + (theta[snap] > 0.5)]
-            theta[snap] = 0.5  # off every node; the value is replaced below
-        # res = omega sum_m bary_m f(k + m) / (theta - m)
-        res.fill(0.0)
-        term = np.empty_like(theta)
-        for m, bary in zip(_NODES, _BARY):
-            # every index is in range; "clip" only spares take its buffered copy
-            np.take(padded[m + half - 1 :], cell, out=term, mode="clip")
-            np.subtract(theta, m, out=work)
-            term /= work
-            term *= bary
+        node = s * scale
+        np.rint(node, out=node)
+        np.fmax(node, 0.0, out=node)  # NaN goes to node 0 and stays NaN in u
+        np.fmin(node, grid, out=node)
+        u = s - node * step_hi
+        u -= node * step_lo
+        u *= scale  # the offset in steps, in [-1/2, 1/2] up to rounding
+        node = node.astype(np.intp)
+        term = np.empty_like(u)
+        # every index is in range; "clip" only spares take its buffered copy
+        np.take(table[-1], node, out=res, mode="clip")
+        for row in table[-2::-1]:
+            res *= u
+            np.take(row, node, out=term, mode="clip")
             res += term
-        res *= omega
-        if snapped:
-            res[snap] = at_node
     out += a[0]
     return out
 

@@ -522,6 +522,22 @@ class TestCompactSupport:
             compact_support_coeffs("askey", -1.0, 5)
 
 
+class TestCompactTailBound:
+    """The closed-form compact families record a tail that bounds the mass past
+    n_max, checked against the coefficients summed out to level 10^6."""
+
+    @pytest.mark.parametrize("variant", ["askey", "c2_wendland", "c4_wendland"])
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, math.pi])
+    def test_tail_bound_is_a_bound(self, variant, c):
+        far = compact_support_coeffs(variant, c, 10**6).values
+        for n_max in (64, 512):
+            beta = compact_support_coeffs(variant, c, n_max)
+            assert beta.tail_bound >= float(np.sum(far[n_max + 1 :]))
+
+    def test_no_levels_bounds_the_whole_mass(self):
+        assert compact_support_coeffs("askey", 1.0, 0).tail_bound == 1.0
+
+
 class TestModelSpecResolution:
     def test_kernel_mode_multiquadric(self):
         spec = load_model(

@@ -431,25 +431,25 @@ class TestRadialSeriesDomain:
         assert np.max(err) <= 1e-14 * np.sum(np.abs(coeffs))
 
 
-def _interpolation_bound(a, grid):
-    """(C_P / P!) sum_(j>=1) |a_j| (j pi / M)^P, C_P = prod_(m=1-P/2..P/2) |1/2 - m|."""
-    p = spectra._STENCIL
-    c_p = math.prod(abs(0.5 - m) for m in range(1 - p // 2, p // 2 + 1))
+def _remainder_bound(a, grid):
+    """(1/2)^P / P! sum_(j>=1) |a_j| (j pi / M)^P: the Taylor remainder of P terms
+    of sum_(j>=1) a_j cos(j s) within half a step pi / M of a node."""
+    p = spectra._ORDER
     j = np.arange(1, len(a), dtype=float)
-    return c_p / math.factorial(p) * float(np.sum(np.abs(a[1:]) * (j * math.pi / grid) ** p))
+    return 0.5**p / math.factorial(p) * float(np.sum(np.abs(a[1:]) * (j * math.pi / grid) ** p))
 
 
 class TestGridRule:
     """The grid of ``_cosine_series`` is the smallest power of two past L whose
-    interpolation bound is within 2^-53 sum_(j>=1) |a_j|: certified, not tuned."""
+    Taylor remainder is within 2^-53 sum_(j>=1) |a_j|: certified, not tuned."""
 
     def check(self, a):
         grid = spectra._grid_size(a)
         levels = len(a) - 1
         budget = 2.0**-53 * float(np.sum(np.abs(a[1:])))
         assert grid > levels and grid & (grid - 1) == 0
-        assert _interpolation_bound(a, grid) <= budget
-        assert grid // 2 <= levels or _interpolation_bound(a, grid // 2) > budget
+        assert _remainder_bound(a, grid) <= budget
+        assert grid // 2 <= levels or _remainder_bound(a, grid // 2) > budget
 
     @pytest.mark.parametrize("levels", [1, 68, 143, 1000, 9000])
     def test_random_coefficients(self, levels):
@@ -464,7 +464,50 @@ class TestGridRule:
         # the coefficients of DensityContext.radial for the fit workload's model
         model = resolve(ModelSpec("multiquadric", {"tau": 10.0, "delta": delta}, 2, "density", chi=1.0))
         coeffs = model.density.values * model.density.mults / surface_measure(2)
-        self.check(spectra._cosine_coefficients(coeffs, 0.5))
+        cosine = spectra._cosine_coefficients(coeffs, 0.5)
+        self.check(cosine)
+        assert spectra._grid_size(cosine) <= 512
+
+
+def _cosine_reference(a, s):
+    """sum_j a_j cos(j s) in np.longdouble with every angle exact: j = 64 q + r,
+    and for j < 4096 q s and r s (q, r < 64) carry at most 59 significant bits."""
+    ext = np.longdouble
+    s = np.asarray(s, dtype=ext)
+    padded = np.zeros(-(-len(a) // 64) * 64, dtype=ext)
+    padded[: len(a)] = a
+    table = padded.reshape(-1, 64)
+    low = np.multiply.outer(np.arange(64, dtype=ext), s)  # r s
+    high = np.multiply.outer(np.arange(len(table), dtype=ext), s) * 64  # 64 q s
+    # cos(64 q s + r s) = cos(64 q s) cos(r s) - sin(64 q s) sin(r s)
+    terms = np.cos(high) * (table @ np.cos(low)) - np.sin(high) * (table @ np.sin(low))
+    return np.sum(terms, axis=0).astype(float)
+
+
+class TestCosineSeriesAccuracy:
+    """On S^1 the evaluator sums the cosine series itself; its error stays within
+    6e-16 sum |a| at every level count, against a long-double reference."""
+
+    S = np.concatenate(
+        [[0.0, math.pi, 3.08, 1e-9, math.pi - 1e-9],
+         np.random.default_rng(40).uniform(0.0, math.pi, 3000)]
+    )
+
+    @needs_long_double
+    @pytest.mark.parametrize("levels", [1, 5, 68, 143, 1000, 3000])
+    def test_error_scan(self, levels):
+        rng = np.random.default_rng(levels)
+        j = np.arange(levels + 1)
+        single = np.zeros(levels + 1)
+        single[-1] = 1.0
+        for a in (
+            rng.standard_normal(levels + 1),
+            rng.standard_normal(levels + 1) * 0.97**j,
+            single,
+            rng.uniform(0.0, 1.0, levels + 1) * 0.9**j,
+        ):
+            err = np.abs(eval_radial_series(a, 1, self.S) - _cosine_reference(a, self.S))
+            assert np.max(err) <= 6e-16 * np.sum(np.abs(a))
 
 
 class TestAppendixBArgmax:
