@@ -12,11 +12,13 @@ Families (radial correlation psi, or a direct spectrum):
   * matern: psi(s) = 2^(1-nu)/Gamma(nu) (s/c)^nu K_nu(s/c), nu in (0, 1/2];
   * circular_matern (d=1): lambda_(l,1) = sigma^2 / (alpha^2 + l^2)^(nu+1/2);
   * askey / c2_wendland / c4_wendland / spherical: compactly supported
-    correlations with closed-form 1-Schoenberg coefficients (spherical:
-    numeric only).
+    correlations, each one factored polynomial (1 - t)^a q(t) in t = s/c,
+    from which its Taylor series, closed-form 1-Schoenberg coefficients and
+    tail majorant are derived.
 
-Matern and spherical invert psi by quadrature.  The multiquadric and the
-spectral family are cut by ``truncate_levels``, under one tail rule.
+Matern, and the compact families with support past pi, invert psi by
+quadrature.  The multiquadric and the spectral family are cut by
+``truncate_levels``, under one tail rule.
 
 A DPP is specified either through its kernel C_0 = rho * psi with
 rho <= rho_max ("kernel" mode) or through the density kernel
@@ -29,7 +31,9 @@ import json
 import math
 import numbers
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -527,119 +531,97 @@ def circular_matern_spectrum(
 # Compactly supported families (Askey, Wendland, spherical), d = 1
 # ---------------------------------------------------------------------------
 
-COMPACT_VARIANTS = ("askey", "c2_wendland", "c4_wendland", "spherical")
-
-
-def _askey_base_psi(u):
-    return np.where(u < 1.0, (1.0 - u) ** 3, 0.0)
-
-
-def _c2w_base_psi(u):
-    return np.where(u < 1.0, (1.0 - u) ** 4 * (4.0 * u + 1.0), 0.0)
-
-
-def _c4w_base_psi(u):
-    return np.where(u < 1.0, (1.0 - u) ** 6 * (u * (35.0 * u + 18.0) + 3.0) / 3.0, 0.0)
-
-
-def _spherical_base_psi(u):
-    return np.where(u < 1.0, (1.0 + u / 2.0) * (1.0 - u) ** 2, 0.0)
-
-
-_BASE_PSI = {
-    "askey": _askey_base_psi,
-    "c2_wendland": _c2w_base_psi,
-    "c4_wendland": _c4w_base_psi,
-    "spherical": _spherical_base_psi,
+# Each family is psi(s) = p(s/c), with p(t) = (1 - t)^a q(t) on [0, 1] and 0
+# past it, kept as (a, the numerator of q in rising powers, its denominator).
+_COMPACT_FACTORS = {
+    "askey": (3, (1,), 1),
+    "c2_wendland": (4, (1, 4), 1),
+    "c4_wendland": (6, (3, 18, 35), 3),
+    "spherical": (2, (2, 1), 2),
 }
+COMPACT_VARIANTS = tuple(_COMPACT_FACTORS)
+
+_SERIES_TERMS = 13
+_SERIES_RADIUS = 3.0  # the Taylor series below it, the closed form from it on
 
 
-# Taylor coefficients in u^2 of pi * F(u) for each closed form; the trig
-# expressions cancel catastrophically below u ~ 1-2, so the series (exact
-# to machine precision for u < 3) takes over there.
-_ASKEY_SERIES = [
-    1 / 2, -1 / 60, 1 / 3360, -1 / 302400, 1 / 39916800, -1 / 7264857600,
-    1 / 1743565824000, -1 / 533531142144000, 1 / 202741834014720000,
-    -1 / 93666727314800640000, 1 / 51704033477769953280000,
-    -1 / 33607621760550469632000000, 1 / 25407362050976155041792000000,
-]
-_C2W_SERIES = [
-    2 / 3, -1 / 42, 1 / 2520, -1 / 249480, 1 / 36324288, -1 / 7264857600,
-    1 / 1905468364800, -1 / 633568231296000, 1 / 260185353652224000,
-    -1 / 129260083694424883200, 1 / 76380958546705612800000,
-    -1 / 52932004272866989670400000, 1 / 42508471123748567089152000000,
-]
-_C4W_SERIES = [
-    16 / 27, -8 / 495, 4 / 19305, -2 / 1216215, 1 / 110270160, -1 / 26937424800,
-    1 / 8485288812000, -1 / 3339432552456000, 1 / 1602927625178880000,
-    -1 / 920663339625469440000, 1 / 622982193146567654400000,
-    -1 / 490239064299183623424000000, 1 / 443736387342803919716352000000,
-]
-
-_SERIES_RADIUS = 3.0
+def _horner(coeffs, x):
+    """sum_i coeffs[i] x^i (rising powers) by Horner's rule."""
+    acc = float(coeffs[-1])
+    for coef in coeffs[-2::-1]:
+        acc = acc * x + coef
+    return acc
 
 
-def _eval_even_series(coeffs, u):
-    u2 = u * u
-    acc = np.zeros_like(u)
-    for c in reversed(coeffs):
-        acc = acc * u2 + c
-    return acc / math.pi
+# pi F(u) = 2 int_0^1 p(t) cos(u t) dt of one family, so that beta_(l,1) = c F(c l)
+# for l >= 1 and beta_(0,1) = c F(0) / 2 = c beta0 while c <= pi.  For
+# u < _SERIES_RADIUS, pi F(u) = sum_k series[k] u^(2k); from it on,
+# pi F(u) = scale (P(u) + S(u) sin u + C(u) cos u) / u^power with P, S, C the
+# integer polynomials plain, sin, cos (rising powers).  F(u) <= sum_i w_i u^(-k_i)
+# for u > 0, with (w_i, k_i) the pairs of majorant.  (A namedtuple: a dataclass
+# would add a millisecond to the package import.)
+_CompactForm = namedtuple("_CompactForm", "beta0 series scale plain sin cos power majorant")
 
 
-def _askey_base_beta(u):
-    small = np.abs(u) < _SERIES_RADIUS
-    u2 = u * u
-    with np.errstate(divide="ignore", invalid="ignore"):
-        full = 6.0 * (u2 + 2.0 * np.cos(u) - 2.0) / (math.pi * u2 * u2)
-    return np.where(small, _eval_even_series(_ASKEY_SERIES, u), full)
+@lru_cache(maxsize=None)
+def _compact_form(variant: str) -> _CompactForm:
+    """The coefficient function of ``variant``, derived in exact rationals from
+    its factors and rounded once.
 
+    The Taylor series is pi F(u) = sum_k 2 (-1)^k u^(2k) / (2k)! int_0^1 p t^(2k) dt.
+    Integrating int_0^1 p(t) e^(iut) dt by parts deg p + 1 times gives
+    sum_j (-1)^j [p^(j)(t) e^(iut)]_0^1 / (iu)^(j+1): with m = j + 1, t = 0
+    gives a plain u^-m term (odd j only) and t = 1 a cos u or sin u one
+    (j >= a only).  As |cos u|, |sin u| <= 1, the weight of u^-m in the
+    majorant is max(0, plain_m + |cos_m| + |sin_m|) / pi.  fractions is
+    imported on the first call, so importing the package does not load it.
+    """
+    from fractions import Fraction
 
-def _c2w_base_beta(u):
-    small = np.abs(u) < _SERIES_RADIUS
-    u2 = u * u
-    with np.errstate(divide="ignore", invalid="ignore"):
-        full = 240.0 * (u2 + u * np.sin(u) + 4.0 * np.cos(u) - 4.0) / (math.pi * u2**3)
-    return np.where(small, _eval_even_series(_C2W_SERIES, u), full)
+    a, q, den = _COMPACT_FACTORS[variant]
+    p = [Fraction(x, den) for x in q]
+    for _ in range(a):  # times (1 - t)
+        p = [x - y for x, y in zip(p + [0], [0] + p)]
 
+    def moment(m):  # int_0^1 p(t) t^m dt
+        return sum(x / (i + m + 1) for i, x in enumerate(p))
 
-def _c4w_base_beta(u):
-    small = np.abs(u) < _SERIES_RADIUS
-    u2 = u * u
-    with np.errstate(divide="ignore", invalid="ignore"):
-        full = (
-            8960.0
-            * (4.0 * u * (u2 - 18.0) - 3.0 * (u2 - 35.0) * np.sin(u) - 33.0 * u * np.cos(u))
-            / (math.pi * u2**4 * u)
-        )
-    return np.where(small, _eval_even_series(_C4W_SERIES, u), full)
-
-
-# (F, beta_0, majorant): the majorant is F(u) <= sum_i w_i u^(-k_i) for u > 0 as
-# (w_i, k_i) pairs, from the numerator bounds
-#   askey:       u^2 + 2 cos u - 2 <= u^2
-#   c2_wendland: u^2 + u sin u + 4 cos u - 4 <= u^2 + u
-#   c4_wendland: 4 u (u^2 - 18) - 3 (u^2 - 35) sin u - 33 u cos u <= 4 u^3 + 3 u^2 + 105
-_BASE_BETA = {
-    "askey": (_askey_base_beta, 1.0 / (4.0 * math.pi), ((6.0 / math.pi, 2),)),
-    "c2_wendland": (
-        _c2w_base_beta, 1.0 / (3.0 * math.pi), ((240.0 / math.pi, 4), (240.0 / math.pi, 5))
-    ),
-    "c4_wendland": (
-        _c4w_base_beta,
-        8.0 / (27.0 * math.pi),
-        ((4 * 8960.0 / math.pi, 6), (3 * 8960.0 / math.pi, 7), (105 * 8960.0 / math.pi, 9)),
-    ),
-}
+    series = [2 * (-1) ** k * moment(2 * k) / math.factorial(2 * k) for k in range(_SERIES_TERMS)]
+    power = len(p)  # deg p + 1
+    plain, cos, sin = ([Fraction(0)] * power for _ in range(3))  # coefficients of u^(power - m)
+    deriv = p  # p^(j), j = m - 1
+    for m in range(1, power + 1):
+        sign = 2 * (-1) ** (m - 1)
+        re, im = ((1, 0), (0, 1), (-1, 0), (0, -1))[m % 4]  # (iu)^-m = (re - i im) u^-m
+        plain[power - m] = -sign * re * deriv[0]
+        cos[power - m] = sign * re * sum(deriv)
+        sin[power - m] = sign * im * sum(deriv)
+        deriv = [i * x for i, x in enumerate(deriv)][1:]
+    weights = [(x + abs(y) + abs(z), power - i) for i, (x, y, z) in enumerate(zip(plain, cos, sin))]
+    terms = [x for x in plain + cos + sin if x]
+    scale = Fraction(math.gcd(*(x.numerator for x in terms)), math.lcm(*(x.denominator for x in terms)))
+    mass = moment(0)
+    return _CompactForm(
+        beta0=mass.numerator / (mass.denominator * math.pi),
+        series=tuple(float(x) for x in series),
+        scale=float(scale),
+        plain=tuple(int(x / scale) for x in plain),
+        sin=tuple(int(x / scale) for x in sin),
+        cos=tuple(int(x / scale) for x in cos),
+        power=power,
+        majorant=tuple((float(w) / math.pi, k) for w, k in weights[::-1] if w > 0),
+    )
 
 
 def compact_support_psi(variant: str, c: float):
-    """Radial correlation with support [0, c] (scale rule: psi(s/c))."""
+    """Radial correlation psi(s) = p(s/c) with support [0, c], p kept in its
+    factored form (1 - t)^a q(t)."""
     _check_compact(variant, c)
-    base = _BASE_PSI[variant]
+    a, q, den = _COMPACT_FACTORS[variant]
 
     def psi(s):
-        return base(np.asarray(s, dtype=float) / c)
+        u = np.asarray(s, dtype=float) / c
+        return np.where(u < 1.0, (1.0 - u) ** a * _horner(q, u) / den, 0.0)
 
     return psi
 
@@ -656,29 +638,32 @@ def _check_compact(variant, c):
 def compact_support_coeffs(variant: str, c: float, n_max: int) -> DSchoenbergSeq:
     """1-Schoenberg coefficients of the compactly supported families.
 
-    Closed forms: beta_(l,1)(c) = c * F(c l) with F the unit-scale
-    coefficient function, valid while the support [0, c] stays inside
-    [0, pi].  Their tail bound comes from a majorant F(u) <= sum_i w_i u^(-k_i)
-    (see ``_BASE_BETA``) and sum_(l>L) l^(-k) <= L^(1-k) / (k - 1), so the
-    mass past L = n_max is at most sum_i w_i (c L)^(1-k_i) / (k_i - 1): a
-    bound, which 1 - sum(values) is not, since that difference rounds.  The
-    spherical variant (no closed form is reproduced here) and any c > pi
-    fall back to quadrature with a panel split at s = c, and keep the
-    quadrature's 1 - sum(values) as their tail, an estimate.
+    While the support [0, c] stays inside [0, pi], beta_(l,1) = c F(c l)
+    with F the unit-scale coefficient function of ``_compact_form``: its
+    Taylor series for c l < _SERIES_RADIUS, where the closed form cancels,
+    and the closed form from there on.  The tail bound comes from its
+    majorant F(u) <= sum_i w_i u^(-k_i) and sum_(l>L) l^(-k) <= L^(1-k) / (k - 1),
+    so the mass past L = n_max is at most sum_i w_i (c L)^(1-k_i) / (k_i - 1):
+    a bound, which 1 - sum(values) is not, since that difference rounds.
+    Any c > pi falls back to quadrature and keeps the quadrature's
+    1 - sum(values) as its tail, an estimate.
     """
     _check_compact(variant, c)
-    if variant == "spherical" or c > math.pi:
-        quad = QuadratureSpec(split_points=(min(c, math.pi),) if c < math.pi else ())
-        return d_schoenberg_from_psi(compact_support_psi(variant, c), 1, n_max, quad)
-    beta_fn, beta0, majorant = _BASE_BETA[variant]
+    if c > math.pi:
+        return d_schoenberg_from_psi(compact_support_psi(variant, c), 1, n_max)
+    form = _compact_form(variant)
+    u = c * np.arange(1, n_max + 1, dtype=float)
+    cut = int(np.searchsorted(u, _SERIES_RADIUS))  # u increases: levels 1..cut take the series
+    near, far = u[:cut], u[cut:]
     values = np.empty(n_max + 1)
-    values[0] = c * beta0
-    ells = np.arange(1, n_max + 1, dtype=float)
-    values[1:] = c * beta_fn(c * ells)
+    values[0] = c * form.beta0
+    values[1 : cut + 1] = c * (_horner(form.series, near**2) / math.pi)
+    num = _horner(form.plain, far) + _horner(form.sin, far) * np.sin(far) + _horner(form.cos, far) * np.cos(far)
+    values[cut + 1 :] = c * (form.scale * num / (math.pi * far**form.power))
     values = np.maximum(values, 0.0)
     tail = 1.0  # the whole mass, and all that n_max = 0 allows
     if n_max > 0:
-        tail = min(tail, sum(w / ((k - 1) * (c * n_max) ** (k - 1)) for w, k in majorant))
+        tail = min(tail, sum(w / ((k - 1) * (c * n_max) ** (k - 1)) for w, k in form.majorant))
     return DSchoenbergSeq(1, values, tail_bound=tail)
 
 

@@ -603,7 +603,7 @@ def _cosine_series(a: np.ndarray, flat: np.ndarray) -> np.ndarray:
     off as the Taylor polynomial sum_p row_p[k] u^p by Horner's rule, whose
     remainder M certifies below 2^-53 sum_(j>=1) |a_j|.  Both s - n 2 pi and
     s - k h are taken with pi split in two (``_split_pi``), so they keep the
-    digits of s for |s| < 2^20 2 pi.  NaN goes to node 0 and stays NaN in u.
+    digits of s for |s| < 2^20 2 pi.  NaN goes to node M and stays NaN in u.
     a_0 is added last, so a constant series is exact.  This is the Taylor
     form of the non-equispaced FFT (Anderson and Dahleh 1996; Dutt and
     Rokhlin 1993).  Points are read in blocks of _BLOCK, and each step is
@@ -638,8 +638,7 @@ def _cosine_series(a: np.ndarray, flat: np.ndarray) -> np.ndarray:
         res = out[start : start + _BLOCK]
         node = s * scale
         np.rint(node, out=node)
-        np.fmax(node, 0.0, out=node)  # NaN goes to node 0 and stays NaN in u
-        np.fmin(node, grid, out=node)
+        np.fmin(node, grid, out=node)  # s >= 0 here; NaN goes to node M and stays NaN in u
         u = s - node * step_hi
         u -= node * step_lo
         u *= scale  # the offset in steps, in [-1/2, 1/2] up to rounding

@@ -1,12 +1,13 @@
 """The benchmark's command paths run on numpy alone, and without quadrature.
 
 scipy is loaded only by the Matern kernel with nu < 1/2 (``matern_psi``) and
-by the tests.  Gauss-Legendre nodes are built only for the families whose
-coefficients come from quadrature (Matern and the compactly supported ones),
-so the benchmark's models leave the node cache empty.  numpy.fft is loaded
-only when a radial series is summed, which of the benchmark's commands only
-``mle`` does.  The checks run in a fresh interpreter, because this test
-process has imported scipy already.
+by the tests, and fractions only by the first compact-family coefficient
+call (``models._compact_form``).  Gauss-Legendre nodes are built only for the
+families whose coefficients come from quadrature (Matern, and the compactly
+supported ones with support past pi), so the benchmark's models leave the
+node cache empty.  numpy.fft is loaded only when a radial series is summed,
+which of the benchmark's commands only ``mle`` does.  The checks run in a
+fresh interpreter, because this test process has imported scipy already.
 The models and the fit pattern are the benchmark's own
 (``perfbench/inputs.py``, standard library and numpy only).
 """
@@ -29,17 +30,17 @@ from spheredpp import load_model, resolve, substream
 from spheredpp.spectra import _gl_nodes
 from spheredpp.sampler import draw_bernoulli_basis
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def watched_modules():
+    return sorted(m for m in sys.modules if m in ("scipy", "fractions") or m.startswith("scipy."))
 
-loaded = {"import": scipy_modules()}
+loaded = {"import": watched_modules()}
 sys.path.insert(0, sys.argv[1])
 from inputs import MODELS, fit_model, hard_core_pattern, rng_for, write_pattern_csv
 
 specs = dict(MODELS, fit=fit_model(0.74))
 resolved = {name: resolve(load_model(spec)) for name, spec in specs.items()}
 draw_bernoulli_basis(resolved["mq10-400"].kernel, substream(1, "basis"))
-loaded["resolve"] = scipy_modules()
+loaded["resolve"] = watched_modules()
 for name, spec in specs.items():
     with open(name + ".json", "w") as fh:
         json.dump(spec, fh)
@@ -53,7 +54,7 @@ commands = [
 for argv in commands:
     if spheredpp.cli.run(argv) != 0:
         sys.exit("command failed: " + " ".join(argv))
-loaded["commands"] = scipy_modules()
+loaded["commands"] = watched_modules()
 loaded["quadrature_node_sets"] = _gl_nodes.cache_info().currsize
 print(json.dumps(loaded))
 """

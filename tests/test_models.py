@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from spheredpp import models
 from spheredpp.diagnostics import local_repulsiveness
 from spheredpp.harmonics import multiplicities
 from spheredpp.models import (
+    COMPACT_VARIANTS,
     FAMILY_PARAMS,
     ModelSpec,
     TruncationError,
@@ -462,7 +464,7 @@ class TestCompactSupport:
         assert beta.values[2] == pytest.approx(expected, rel=1e-12)
 
     def test_closed_forms_match_quadrature(self):
-        for variant in ("askey", "c2_wendland", "c4_wendland"):
+        for variant in COMPACT_VARIANTS:
             for c in (1.0, 0.5, 2.5):
                 beta = compact_support_coeffs(variant, c, 40)
                 quad = d_schoenberg_from_psi(
@@ -480,10 +482,70 @@ class TestCompactSupport:
         assert beta2.values[0] == pytest.approx(1.0 / (3 * math.pi), rel=1e-12)
         assert beta4.values[0] == pytest.approx(8.0 / (27 * math.pi), rel=1e-12)
 
-    def test_spherical_by_quadrature(self):
+    def test_spherical_beta0(self):
         beta = compact_support_coeffs("spherical", 1.0, 20)
         # beta_(0,1) = (1/pi) int_0^1 (1+u/2)(1-u)^2 du = 3/(8 pi)
-        assert beta.values[0] == pytest.approx(3.0 / (8 * math.pi), rel=1e-9)
+        assert beta.values[0] == pytest.approx(3.0 / (8 * math.pi), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "variant, rows",
+        [
+            ("askey", (1 / 2, -1 / 60, 1 / 3360)),
+            ("c2_wendland", (2 / 3, -1 / 42)),
+            ("c4_wendland", (16 / 27, -8 / 495)),
+        ],
+    )
+    def test_taylor_rows(self, variant, rows):
+        # pi F(u) = sum_k 2 (-1)^k u^(2k) / (2k)! int_0^1 p t^(2k) dt, each row rounded once
+        assert models._compact_form(variant).series[: len(rows)] == rows
+
+    @pytest.mark.parametrize(
+        "variant, weights",
+        [
+            ("askey", ((6, 2),)),
+            ("c2_wendland", ((240, 4), (240, 5))),
+            ("c4_wendland", ((4 * 8960, 6), (3 * 8960, 7), (105 * 8960, 9))),
+            ("spherical", ((3, 2), (6, 3), (12, 4))),
+        ],
+    )
+    def test_majorant_weights(self, variant, weights):
+        # pi F(u) <= sum_i w_i u^(-k_i) from the numerator bounds, e.g. for C2-Wendland
+        # 240 (u^2 + u sin u + 4 cos u - 4) / u^6 <= 240 (u^2 + u) / u^6
+        expected = tuple((w / math.pi, k) for w, k in weights)
+        assert models._compact_form(variant).majorant == expected
+
+    @pytest.mark.parametrize("variant", COMPACT_VARIANTS)
+    def test_against_exact_series(self, variant):
+        # beta_(l,1) = (2c/pi) int_0^1 (1-t)^a q(t) cos(c l t) dt on both sides of the
+        # series radius 3, against its Taylor series summed in rationals to 36 terms
+        # (the rest is below 1e-30 for c l <= 8), with int_0^1 (1-t)^a t^n dt = a! n! / (a+n+1)!
+        a, q = {
+            "askey": (3, [1]),
+            "c2_wendland": (4, [1, 4]),
+            "c4_wendland": (6, [1, 6, Fraction(35, 3)]),
+            "spherical": (2, [1, Fraction(1, 2)]),
+        }[variant]
+        fact = math.factorial
+        moments = [
+            sum(x * Fraction(fact(a) * fact(2 * k + i), fact(a + 2 * k + i + 1)) for i, x in enumerate(q))
+            for k in range(36)
+        ]
+        c = Fraction(1, 4)
+        beta = compact_support_coeffs(variant, float(c), 32).values
+        for ell in range(33):
+            u2 = (c * ell) ** 2
+            total = sum(2 * (-1) ** k * u2**k / fact(2 * k) * m for k, m in enumerate(moments))
+            exact = float(c * total / (2 if ell == 0 else 1)) / math.pi
+            assert beta[ell] == pytest.approx(exact, rel=2e-14, abs=0.0)
+
+    @pytest.mark.parametrize("variant", COMPACT_VARIANTS)
+    def test_quadrature_only_past_pi(self, variant, monkeypatch):
+        calls = []
+        monkeypatch.setattr(models, "d_schoenberg_from_psi", lambda *args: calls.append(args))
+        compact_support_coeffs(variant, math.pi, 40)
+        assert calls == []
+        compact_support_coeffs(variant, 4.0, 40)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("variant", ["askey", "c2_wendland", "c4_wendland", "spherical"])
     def test_resolve_on_the_circle(self, variant):
@@ -526,7 +588,7 @@ class TestCompactTailBound:
     """The closed-form compact families record a tail that bounds the mass past
     n_max, checked against the coefficients summed out to level 10^6."""
 
-    @pytest.mark.parametrize("variant", ["askey", "c2_wendland", "c4_wendland"])
+    @pytest.mark.parametrize("variant", COMPACT_VARIANTS)
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, math.pi])
     def test_tail_bound_is_a_bound(self, variant, c):
         far = compact_support_coeffs(variant, c, 10**6).values

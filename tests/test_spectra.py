@@ -409,9 +409,10 @@ class TestRadialSeriesDomain:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_nan_gives_nan(self, dim):
         coeffs = self.coeffs(dim)
-        s = np.random.default_rng(5).uniform(0.0, math.pi, 20000)
+        block = spectra._BLOCK  # the holes straddle the first block boundary and sit in a third block
+        s = np.random.default_rng(5).uniform(0.0, math.pi, 2 * block + 1000)
         holes = np.zeros(s.size, dtype=bool)
-        holes[[0, 1, 8191, 8192, 12345, s.size - 1]] = True
+        holes[[0, 1, block - 1, block, 2 * block + 345, s.size - 1]] = True
         with np.errstate(all="raise"):
             values = eval_radial_series(coeffs, dim, np.where(holes, np.nan, s))
         assert np.all(np.isnan(values[holes]))
