@@ -50,7 +50,6 @@ from .spectra import (
     ExistenceError,
     MercerSpectrum,
     QuadratureError,
-    QuadratureSpec,
     SchoenbergSeq,
     TruncationPolicy,
     beta_from_kernel,

@@ -26,6 +26,14 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def _report(args, payload) -> int:
+    """Write ``payload`` to --out if given and print it as sorted JSON."""
+    if args.out:
+        _write_json(args.out, payload)
+    print(json.dumps(payload, indent=2, sort_keys=True))
+    return 0
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -103,10 +111,7 @@ def cmd_repulsiveness(args) -> int:
     payload = report.to_json()
     if report.slope is not None and math.isinf(report.slope):
         payload["pcf_slope_at_zero"] = "inf"
-    if args.out:
-        _write_json(args.out, payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
+    return _report(args, payload)
 
 
 def cmd_loglik(args) -> int:
@@ -124,10 +129,7 @@ def cmd_loglik(args) -> int:
         "infeasible": bool(math.isinf(value)),
         "log_normalizer_D": ctx.log_normalizer,
     }
-    if args.out:
-        _write_json(args.out, payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
+    return _report(args, payload)
 
 
 def cmd_mle(args) -> int:
@@ -137,20 +139,14 @@ def cmd_mle(args) -> int:
     fit_spec = likelihood.ScaledFitSpec.from_correlation(alpha)
     fit = likelihood.newton_mle(pattern, fit_spec, zeta0=args.zeta0)
     payload = fit.to_json()
-    if args.out:
-        _write_json(args.out, payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
+    return _report(args, payload)
 
 
 def cmd_validate(args) -> int:
     model = models.resolve(models.load_model(args.model))
     report = diagnostics.montecarlo_validate(model, args.reps, args.seed)
     payload = report.to_json()
-    if args.out:
-        _write_json(args.out, payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
+    return _report(args, payload)
 
 
 def cmd_project(args) -> int:

@@ -87,10 +87,6 @@ class LocalRepulsiveness:
     slope: float | None
     curvature: float | None
 
-    @property
-    def available(self) -> bool:
-        return self.curvature is not None
-
 
 def _tail_of_weighted_sum(values: np.ndarray, dim: int) -> float | None:
     """Estimate the tail of sum l(l+d-1) beta_l beyond the represented prefix.

@@ -26,6 +26,10 @@ from .harmonics import multiplicities
 from .spectra import MercerSpectrum, eval_radial_series, to_density_kernel
 from .sphere import PointPattern, surface_measure
 
+# |score| below which Newton-Raphson stops, and the most steps it takes
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITERATIONS = 100
+
 
 @dataclass(frozen=True)
 class DensityContext:
@@ -179,19 +183,15 @@ class FitResult:
         }
 
 
-def newton_mle(
-    pattern: PointPattern,
-    spec: ScaledFitSpec,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-    zeta0: float = 0.0,
-) -> FitResult:
+def newton_mle(pattern: PointPattern, spec: ScaledFitSpec, zeta0: float = 0.0) -> FitResult:
     """Maximum likelihood estimate of chi by safeguarded Newton-Raphson.
 
     The score is strictly decreasing in zeta, so its root is unique; it
     exists when 0 < n < sum of multiplicities over levels with
     alpha > 0.  Newton steps get step-halving when the likelihood drops
-    and bisection when they leave the running sign bracket.
+    and bisection when they leave the running sign bracket.  The fit stops
+    once |score| < NEWTON_TOL and raises RuntimeError when that takes more
+    than NEWTON_MAX_ITERATIONS steps.
     """
     _check_sphere(pattern, spec.dim)
     n = len(pattern)
@@ -209,7 +209,7 @@ def newton_mle(
     lo, hi = -math.inf, math.inf  # score > 0 at lo, < 0 at hi
     loglik, sc, info = _profile(spec.alpha, m, n, zeta, psi_logdet)
     it = 0
-    while abs(sc) >= tol and it < max_iter:
+    while abs(sc) >= NEWTON_TOL and it < NEWTON_MAX_ITERATIONS:
         it += 1
         if sc > 0:
             lo = max(lo, zeta)
@@ -231,7 +231,7 @@ def newton_mle(
             halvings += 1
         zeta = cand
         loglik, sc, info = step
-    converged = abs(sc) < tol
+    converged = abs(sc) < NEWTON_TOL
     if not converged:
-        raise RuntimeError(f"Newton-Raphson did not converge in {max_iter} iterations")
+        raise RuntimeError(f"Newton-Raphson did not converge in {NEWTON_MAX_ITERATIONS} iterations")
     return FitResult(math.exp(zeta), zeta, loglik, sc, info, it, converged)

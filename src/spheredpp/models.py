@@ -42,7 +42,6 @@ from .spectra import (
     DSchoenbergSeq,
     ExistenceError,
     MercerSpectrum,
-    QuadratureSpec,
     TruncationPolicy,
     beta_from_kernel,
     correlation_mercer,
@@ -469,13 +468,7 @@ def matern_eta_max_d1(c: float) -> float:
     return math.pi / c / (1.0 - math.exp(-math.pi / c))
 
 
-def matern_d_schoenberg(
-    nu: float,
-    c: float,
-    dim: int,
-    n_max: int = 256,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> DSchoenbergSeq:
+def matern_d_schoenberg(nu: float, c: float, dim: int, n_max: int = 256) -> DSchoenbergSeq:
     """Matern d-Schoenberg coefficients; exact for nu=1/2 on S^1, else
     by quadrature.  The series decays like l^(-2 nu - d), so the
     recorded tail is not small for small nu.  That tail is 1 - sum(values)
@@ -483,7 +476,7 @@ def matern_d_schoenberg(
     rounds: an estimate of the mass past n_max, not a bound."""
     if nu == 0.5 and dim == 1:
         return matern_d1_coefficients(c, n_max)
-    return d_schoenberg_from_psi(matern_psi(nu, c), dim, n_max, quad)
+    return d_schoenberg_from_psi(matern_psi(nu, c), dim, n_max)
 
 
 def matern_pcf_slope(nu: float, c: float) -> float:
@@ -532,17 +525,18 @@ def circular_matern_spectrum(
 # ---------------------------------------------------------------------------
 
 # Each family is psi(s) = p(s/c), with p(t) = (1 - t)^a q(t) on [0, 1] and 0
-# past it, kept as (a, the numerator of q in rising powers, its denominator).
+# past it, kept as (a, the numerator of q in rising powers, its denominator),
+# followed by the radius in u = c l below which its coefficients take the
+# Taylor series: the closed form cancels there, C4-Wendland's up to u = 3.75.
 _COMPACT_FACTORS = {
-    "askey": (3, (1,), 1),
-    "c2_wendland": (4, (1, 4), 1),
-    "c4_wendland": (6, (3, 18, 35), 3),
-    "spherical": (2, (2, 1), 2),
+    "askey": (3, (1,), 1, 3.0),
+    "c2_wendland": (4, (1, 4), 1, 3.0),
+    "c4_wendland": (6, (3, 18, 35), 3, 3.75),
+    "spherical": (2, (2, 1), 2, 3.0),
 }
 COMPACT_VARIANTS = tuple(_COMPACT_FACTORS)
 
 _SERIES_TERMS = 13
-_SERIES_RADIUS = 3.0  # the Taylor series below it, the closed form from it on
 
 
 def _horner(coeffs, x):
@@ -555,12 +549,12 @@ def _horner(coeffs, x):
 
 # pi F(u) = 2 int_0^1 p(t) cos(u t) dt of one family, so that beta_(l,1) = c F(c l)
 # for l >= 1 and beta_(0,1) = c F(0) / 2 = c beta0 while c <= pi.  For
-# u < _SERIES_RADIUS, pi F(u) = sum_k series[k] u^(2k); from it on,
+# u < radius, pi F(u) = sum_k series[k] u^(2k); from it on,
 # pi F(u) = scale (P(u) + S(u) sin u + C(u) cos u) / u^power with P, S, C the
 # integer polynomials plain, sin, cos (rising powers).  F(u) <= sum_i w_i u^(-k_i)
 # for u > 0, with (w_i, k_i) the pairs of majorant.  (A namedtuple: a dataclass
 # would add a millisecond to the package import.)
-_CompactForm = namedtuple("_CompactForm", "beta0 series scale plain sin cos power majorant")
+_CompactForm = namedtuple("_CompactForm", "beta0 radius series scale plain sin cos power majorant")
 
 
 @lru_cache(maxsize=None)
@@ -578,7 +572,7 @@ def _compact_form(variant: str) -> _CompactForm:
     """
     from fractions import Fraction
 
-    a, q, den = _COMPACT_FACTORS[variant]
+    a, q, den, radius = _COMPACT_FACTORS[variant]
     p = [Fraction(x, den) for x in q]
     for _ in range(a):  # times (1 - t)
         p = [x - y for x, y in zip(p + [0], [0] + p)]
@@ -603,6 +597,7 @@ def _compact_form(variant: str) -> _CompactForm:
     mass = moment(0)
     return _CompactForm(
         beta0=mass.numerator / (mass.denominator * math.pi),
+        radius=radius,
         series=tuple(float(x) for x in series),
         scale=float(scale),
         plain=tuple(int(x / scale) for x in plain),
@@ -617,7 +612,7 @@ def compact_support_psi(variant: str, c: float):
     """Radial correlation psi(s) = p(s/c) with support [0, c], p kept in its
     factored form (1 - t)^a q(t)."""
     _check_compact(variant, c)
-    a, q, den = _COMPACT_FACTORS[variant]
+    a, q, den, _ = _COMPACT_FACTORS[variant]
 
     def psi(s):
         u = np.asarray(s, dtype=float) / c
@@ -640,10 +635,10 @@ def compact_support_coeffs(variant: str, c: float, n_max: int) -> DSchoenbergSeq
 
     While the support [0, c] stays inside [0, pi], beta_(l,1) = c F(c l)
     with F the unit-scale coefficient function of ``_compact_form``: its
-    Taylor series for c l < _SERIES_RADIUS, where the closed form cancels,
-    and the closed form from there on.  The tail bound comes from its
+    Taylor series for c l below the family's radius, where the closed form
+    cancels, and the closed form from there on.  The tail bound comes from its
     majorant F(u) <= sum_i w_i u^(-k_i) and sum_(l>L) l^(-k) <= L^(1-k) / (k - 1),
-    so the mass past L = n_max is at most sum_i w_i (c L)^(1-k_i) / (k_i - 1):
+    so the mass past L = n_max is at most 1 and sum_i w_i (c L)^(1-k_i) / (k_i - 1):
     a bound, which 1 - sum(values) is not, since that difference rounds.
     Any c > pi falls back to quadrature and keeps the quadrature's
     1 - sum(values) as its tail, an estimate.
@@ -653,7 +648,7 @@ def compact_support_coeffs(variant: str, c: float, n_max: int) -> DSchoenbergSeq
         return d_schoenberg_from_psi(compact_support_psi(variant, c), 1, n_max)
     form = _compact_form(variant)
     u = c * np.arange(1, n_max + 1, dtype=float)
-    cut = int(np.searchsorted(u, _SERIES_RADIUS))  # u increases: levels 1..cut take the series
+    cut = int(np.searchsorted(u, form.radius))  # u increases: levels 1..cut take the series
     near, far = u[:cut], u[cut:]
     values = np.empty(n_max + 1)
     values[0] = c * form.beta0
@@ -663,7 +658,9 @@ def compact_support_coeffs(variant: str, c: float, n_max: int) -> DSchoenbergSeq
     values = np.maximum(values, 0.0)
     tail = 1.0  # the whole mass, and all that n_max = 0 allows
     if n_max > 0:
-        tail = min(tail, sum(w / ((k - 1) * (c * n_max) ** (k - 1)) for w, k in form.majorant))
+        # a term capped at 1 leaves min(1, sum) unchanged, and spares the
+        # division when (c n_max)^(k - 1) underflows to 0 for a tiny c
+        tail = min(tail, sum(w / max((k - 1) * (c * n_max) ** (k - 1), w) for w, k in form.majorant))
     return DSchoenbergSeq(1, values, tail_bound=tail)
 
 

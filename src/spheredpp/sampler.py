@@ -39,6 +39,8 @@ from .sphere import PointPattern, SpherePoint, sample_uniform_angles, surface_me
 CHUNK = 128
 # proposals brought up to date with a chunk's reflectors at a time
 WINDOW = 16
+# most rejections for one point before a draw is taken for a bug
+MAX_REJECTS = 10_000_000
 
 
 class SamplingError(RuntimeError):
@@ -223,11 +225,7 @@ class SampleResult:
         }
 
 
-def sample_projection(
-    basis: ProjectionBasis,
-    rng: np.random.Generator,
-    max_rejects: int = 10_000_000,
-) -> SampleResult:
+def sample_projection(basis: ProjectionBasis, rng: np.random.Generator) -> SampleResult:
     """Draw the projection DPP attached to the selected eigenfunctions.
 
     Produces exactly len(basis) points.  Proposals from q = h_0/n do not
@@ -235,7 +233,7 @@ def sample_projection(
     consumed in order, WINDOW at a time: proposal x is accepted for point
     j+1 when u h_0(x) < h_j(x), with h_j(x) = |z(x)|^2 for the coordinates z
     of v(x) in the complement of the accepted span (``_Complement``).  More than
-    ``max_rejects`` rejections for one point, an h above h_0 (an acceptance
+    MAX_REJECTS rejections for one point, an h above h_0 (an acceptance
     probability above 1) or an accepted direction of norm 0 raise
     ``SamplingError``.
     """
@@ -271,9 +269,9 @@ def sample_projection(
             tested = int(hits[0]) + 1 if len(hits) else stop - start
             proposals += tested
             rejects += tested - (1 if len(hits) else 0)
-            if rejects > max_rejects:
+            if rejects > MAX_REJECTS:
                 raise SamplingError(
-                    f"rejection cap {max_rejects} exceeded at point "
+                    f"rejection cap {MAX_REJECTS} exceeded at point "
                     f"{comp.j + 1}/{n}: proposal or normalization bug"
                 )
             if not len(hits):
@@ -386,7 +384,7 @@ def _reflector(x: np.ndarray):
     return u, 1.0 / (norm * (norm + head))
 
 
-def sample_dpp(model, rng: np.random.Generator, max_rejects: int = 10_000_000) -> SampleResult:
+def sample_dpp(model, rng: np.random.Generator) -> SampleResult:
     """Sample a DPP from a resolved model or a kernel spectrum.
 
     Composition of the Bernoulli eigenvalue draw and projection
@@ -395,5 +393,5 @@ def sample_dpp(model, rng: np.random.Generator, max_rejects: int = 10_000_000) -
     """
     spec = model if isinstance(model, MercerSpectrum) else model.kernel
     basis = draw_bernoulli_basis(spec, rng)
-    result = sample_projection(basis, rng, max_rejects=max_rejects)
+    result = sample_projection(basis, rng)
     return replace(result, trunc_level=len(spec.values) - 1)

@@ -159,10 +159,6 @@ class MercerSpectrum:
         return len(self.values)
 
     @property
-    def levels(self) -> np.ndarray:
-        return np.arange(len(self.values))
-
-    @property
     def mults(self) -> np.ndarray:
         return multiplicities(len(self.values) - 1, self.dim)
 
@@ -269,17 +265,10 @@ def schoenberg_to_d(seq: SchoenbergSeq, dim: int, n_max: int) -> DSchoenbergSeq:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Gauss-Legendre node-doubling control for coefficient integrals."""
-
-    tol: float = 1e-11
-    start_nodes: int = 64
-    max_nodes: int = 8192
-    split_points: tuple = ()
-
-
 _GL_NEWTON_STEPS = 10
+_QUAD_TOL = 1e-11  # agreement of successive estimates, sup over levels
+_QUAD_START_NODES = 64
+_QUAD_MAX_NODES = 8192
 
 
 @lru_cache(maxsize=16)
@@ -313,36 +302,6 @@ def _gl_nodes(n: int):
     return np.concatenate([-x[: n // 2], x[::-1]]), np.concatenate([w[: n // 2], w[::-1]])
 
 
-def _panel_nodes(n: int, panels) -> tuple[np.ndarray, np.ndarray]:
-    xs, ws = [], []
-    base_x, base_w = _gl_nodes(n)
-    for a, b in panels:
-        xs.append(0.5 * (b - a) * base_x + 0.5 * (a + b))
-        ws.append(0.5 * (b - a) * base_w)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
-def _integrate_levels(values_fn, panels, quad: QuadratureSpec):
-    """Adaptive GL integration of a family of level integrands.
-
-    ``values_fn(s, w)`` must return the vector of the levels' weighted
-    integrals over the given nodes.  Nodes are doubled until
-    two successive estimates agree within quad.tol (sup over levels).
-    """
-    prev = None
-    n = quad.start_nodes
-    while n <= quad.max_nodes:
-        s, w = _panel_nodes(n, panels)
-        est = values_fn(s, w)
-        if prev is not None and float(np.max(np.abs(est - prev))) < quad.tol:
-            return est
-        prev = est
-        n *= 2
-    raise QuadratureError(
-        f"coefficient quadrature did not converge within {quad.max_nodes} nodes"
-    )
-
-
 def _inversion_prefactor(ell: int, dim: int) -> float:
     """Constant in front of the Gegenbauer inversion integral (d >= 2)."""
     return (
@@ -353,12 +312,7 @@ def _inversion_prefactor(ell: int, dim: int) -> float:
     )
 
 
-def d_schoenberg_from_psi(
-    psi,
-    dim: int,
-    n_max: int,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> DSchoenbergSeq:
+def d_schoenberg_from_psi(psi, dim: int, n_max: int) -> DSchoenbergSeq:
     """Numerically invert a correlation psi on [0, pi] into beta_(l,d).
 
     d=1 uses the cosine transform
@@ -368,17 +322,18 @@ def d_schoenberg_from_psi(
     is produced and differ only in the prefactor.  The integrals run in
     the s variable, where every integrand is smooth (on x = cos s the d=1
     transform has an endpoint singularity and odd d picks up sqrt
-    factors).  psi must accept numpy arrays.
+    factors).  psi must accept numpy arrays and be smooth on (0, pi): a
+    kink inside it slows convergence and may raise QuadratureError.
 
-    Coefficients below -1e-8 mean psi is not a valid correlation on S^d
-    and raise; values in [-1e-8, 0) are treated as roundoff and clamped.
-    The recorded tail is 1 - sum(values), which rounds and carries the
-    quadrature's own error: an estimate of the mass past n_max, not a bound.
+    Gauss-Legendre rules on [0, pi] of _QUAD_START_NODES, twice as many, and
+    so on up to _QUAD_MAX_NODES nodes are tried until two successive
+    estimates agree within _QUAD_TOL at every level; otherwise
+    QuadratureError is raised.  Coefficients below -1e-8 mean psi is not a
+    valid correlation on S^d and raise; values in [-1e-8, 0) are treated as
+    roundoff and clamped.  The recorded tail is 1 - sum(values), which
+    rounds and carries the quadrature's own error: an estimate of the mass
+    past n_max, not a bound.
     """
-    splits = sorted(p for p in quad.split_points if 0.0 < p < math.pi)
-    edges = [0.0] + splits + [math.pi]
-    panels = list(zip(edges[:-1], edges[1:]))
-
     lam = (dim - 1) / 2.0
     if dim == 1:
         pref = np.full(n_max + 1, 2.0 / math.pi)
@@ -386,11 +341,21 @@ def d_schoenberg_from_psi(
     else:
         pref = np.array([_inversion_prefactor(ell, dim) for ell in range(n_max + 1)])
 
-    def values_fn(s, w):
-        ps = psi(s) * np.sin(s) ** (dim - 1) * w
-        return pref * np.array([row @ ps for row in gegenbauer_rows(n_max, lam, s)])
-
-    coefs = _integrate_levels(values_fn, panels, quad)
+    prev = None
+    n = _QUAD_START_NODES
+    while n <= _QUAD_MAX_NODES:
+        x, w = _gl_nodes(n)
+        s = 0.5 * math.pi * x + 0.5 * math.pi
+        ps = psi(s) * np.sin(s) ** (dim - 1) * (0.5 * math.pi * w)
+        coefs = pref * np.array([row @ ps for row in gegenbauer_rows(n_max, lam, s)])
+        if prev is not None and float(np.max(np.abs(coefs - prev))) < _QUAD_TOL:
+            break
+        prev = coefs
+        n *= 2
+    else:
+        raise QuadratureError(
+            f"coefficient quadrature did not converge within {_QUAD_MAX_NODES} nodes"
+        )
     if np.any(coefs < -1e-8):
         worst = float(coefs.min())
         raise ValueError(

@@ -290,6 +290,15 @@ class TestModelValidation:
         assert code == 1
         assert "trunc.max_level" in err
 
+    @pytest.mark.parametrize("family", ["askey", "c2_wendland", "c4_wendland", "spherical"])
+    def test_tiny_compact_support_exits_0(self, tmp_path, capsys, family):
+        # the tail majorant's powers of c n_max underflow to 0 here; this once
+        # exited 1 with "float division by zero"
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({"family": family, "params": {"c": 1e-300}, "dim": 1, "rho": 0.1}))
+        assert run(["coeffs", "--model", str(model), "--out", str(tmp_path / "c.csv")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_density_tail_past_max_level_exits_1(self, tmp_path, capsys):
         # once cut at 58 levels with every lambda = 1, declared no tail and exited 0
         model = tmp_path / "m.json"

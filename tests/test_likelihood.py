@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spheredpp import likelihood
 from spheredpp.likelihood import (
     DensityContext,
     ScaledFitSpec,
@@ -239,6 +240,13 @@ class TestNewtonMle:
         assert abs(fit.score) < 1e-10
         assert fit.information > 0
         assert fit.chi > 0
+
+    def test_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(likelihood, "NEWTON_MAX_ITERATIONS", 0)
+        alpha = np.array([0.0, 0.0, 0.0, 0.7])  # the score root is chi = 4 / 2.1, not 1
+        pat = uniform_pattern(2, 4, 10)
+        with pytest.raises(RuntimeError, match="did not converge in 0 iterations"):
+            newton_mle(pat, ScaledFitSpec(2, alpha))
 
     def test_precondition_failure(self):
         alpha = np.array([0.5])  # only level 0: m_total = 1

@@ -163,13 +163,15 @@ class TestProjectionSampling:
         assert result.n_proposals >= len(result.pattern)
         assert 0.0 < result.acceptance_rate <= 1.0
 
-    def test_rejection_cap_per_point(self):
+    def test_rejection_cap_per_point(self, monkeypatch):
+        import spheredpp.sampler as sampler_module
         from spheredpp.sampler import SamplingError
 
+        monkeypatch.setattr(sampler_module, "MAX_REJECTS", 0)
         spec = most_repulsive_spectrum(9.0, 2)
         basis = draw_bernoulli_basis(spec, rng(31))
         with pytest.raises(SamplingError, match="at point"):
-            sample_projection(basis, rng(31), max_rejects=0)
+            sample_projection(basis, rng(31))
 
     def test_colatitude_density_above_bound_raises(self, monkeypatch):
         import spheredpp.sampler as sampler_module

@@ -16,7 +16,6 @@ from spheredpp.spectra import (
     ExistenceError,
     MercerSpectrum,
     QuadratureError,
-    QuadratureSpec,
     SchoenbergSeq,
     TruncationPolicy,
     _gl_nodes,
@@ -113,7 +112,7 @@ class TestQuadratureInversion:
             return np.cos(s) + 1e-6 * rng.random(np.shape(s))
 
         with pytest.raises(QuadratureError):
-            d_schoenberg_from_psi(noisy, 1, 3, QuadratureSpec(max_nodes=512))
+            d_schoenberg_from_psi(noisy, 1, 3)
 
     @pytest.mark.parametrize("delta", [0.5, 0.9, 0.97])
     def test_multiquadric_half_d2_to_400_levels(self, delta):
