@@ -4,23 +4,23 @@ Subcommands take a model JSON file and write coefficient tables, point
 patterns (CSV plus a JSON sidecar), pcf curves, repulsiveness reports,
 log-densities, MLE fits, or Monte Carlo validation reports.  Everything
 is reproducible byte for byte under a fixed --seed.
+
+The module imports only argparse, math and sys: the parser is built and the
+arguments are checked before numpy loads, so --help and usage errors cost
+little more than the interpreter's start-up, and each command loads just
+the modules it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
 
-import numpy as np
-
-from . import diagnostics, likelihood, models, sampler, spectra, sphere
-from .streams import substream
-
 
 def _write_json(path, payload) -> None:
+    import json
+
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -28,6 +28,8 @@ def _write_json(path, payload) -> None:
 
 def _report(args, payload) -> int:
     """Write ``payload`` to --out if given and print it as sorted JSON."""
+    import json
+
     if args.out:
         _write_json(args.out, payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -39,6 +41,12 @@ def _fmt(x: float) -> str:
 
 
 def cmd_coeffs(args) -> int:
+    import csv
+
+    import numpy as np
+
+    from . import models
+
     model = models.resolve(models.load_model(args.model))
     kernel = model.kernel
     beta = model.correlation_beta
@@ -78,9 +86,11 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import models, sampler, streams
+
     spec = models.load_model(args.model)
     model = models.resolve(spec)
-    result = sampler.sample_dpp(model, substream(args.seed, "basis"))
+    result = sampler.sample_dpp(model, streams.substream(args.seed, "basis"))
     result.pattern.to_csv(args.out)
     sidecar = {
         "seed": args.seed,
@@ -93,6 +103,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_pcf(args) -> int:
+    import csv
+
+    import numpy as np
+
+    from . import diagnostics, models
+
     model = models.resolve(models.load_model(args.model))
     s = np.linspace(0.0, math.pi, args.grid)
     g0 = diagnostics.pcf(model, s)
@@ -106,6 +122,8 @@ def cmd_pcf(args) -> int:
 
 
 def cmd_repulsiveness(args) -> int:
+    from . import diagnostics, models
+
     model = models.resolve(models.load_model(args.model))
     report = diagnostics.repulsiveness_report(model)
     payload = report.to_json()
@@ -115,6 +133,8 @@ def cmd_repulsiveness(args) -> int:
 
 
 def cmd_loglik(args) -> int:
+    from . import likelihood, models, sphere
+
     model = models.resolve(models.load_model(args.model))
     if model.density is None:
         raise ValueError(
@@ -133,6 +153,8 @@ def cmd_loglik(args) -> int:
 
 
 def cmd_mle(args) -> int:
+    from . import likelihood, models, spectra, sphere
+
     model = models.resolve(models.load_model(args.model))
     pattern = sphere.PointPattern.from_csv(args.pattern)
     alpha = spectra.correlation_mercer(model.correlation_beta)
@@ -143,6 +165,8 @@ def cmd_mle(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import diagnostics, models
+
     model = models.resolve(models.load_model(args.model))
     report = diagnostics.montecarlo_validate(model, args.reps, args.seed)
     payload = report.to_json()
@@ -150,6 +174,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_project(args) -> int:
+    import csv
+
+    from . import sphere
+
     pattern = sphere.PointPattern.from_csv(args.pattern)
     if pattern.dim != 2:
         raise ValueError("projection plots are for S^2 patterns")
@@ -164,6 +192,33 @@ def cmd_project(args) -> int:
             w.writerow([_fmt(u / scale), _fmt(v / scale), hemi])
     print(f"wrote {len(pattern)} projected points to {args.out}")
     return 0
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _log_scale(text: str) -> float:
+    """argparse type of --zeta0: finite, and with exp(zeta0) finite."""
+    try:
+        value = float(text)
+        ok = math.isfinite(value) and math.isfinite(math.exp(value))
+    except (ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(f"must be finite with exp(zeta0) finite, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,13 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="draw one exact sample")
     p.add_argument("--model", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("pcf", help="pair correlation curve g0(s)")
     p.add_argument("--model", required=True)
-    p.add_argument("--grid", type=int, default=512)
+    p.add_argument("--grid", type=_int_at_least(2), default=512)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pcf)
 
@@ -205,14 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mle", help="fit the density-kernel scaling chi")
     p.add_argument("--model", required=True)
     p.add_argument("--pattern", required=True)
-    p.add_argument("--zeta0", type=float, default=0.0)
+    p.add_argument("--zeta0", type=_log_scale, default=0.0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_mle)
 
     p = sub.add_parser("validate", help="Monte Carlo count-moment check")
     p.add_argument("--model", required=True)
-    p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--reps", type=_int_at_least(2), required=True)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_validate)
 

@@ -33,7 +33,7 @@ colatitude densities 2 pi Pbar_l^m(cos theta)^2 sin theta (``colatitude_sup``).
 from __future__ import annotations
 
 import math
-from math import comb, lgamma
+from math import comb
 
 import numpy as np
 
@@ -66,16 +66,6 @@ def gegenbauer_rows(n_max: int, lam: float, s):
             nxt /= ell
             prev, cur = cur, nxt
         yield cur
-
-
-def gegenbauer_at_one(ell: int, lam: float) -> float:
-    """C_ell^(lam)(1); equals binom(ell + 2 lam - 1, ell), and 1 for lam = 0."""
-    if lam == 0.0:
-        return 1.0
-    two_lam = 2.0 * lam
-    if two_lam == int(two_lam):
-        return float(comb(ell + int(two_lam) - 1, ell))
-    return math.exp(lgamma(ell + two_lam) - lgamma(ell + 1) - lgamma(two_lam))
 
 
 def multiplicity(ell: int, dim: int) -> int:
@@ -113,15 +103,6 @@ def multiplicities(n_max: int, dim: int) -> np.ndarray:
         binom *= ells + j
         binom /= j
     return (2.0 * ells + dim - 1.0) * binom / (dim - 1.0)
-
-
-def index_set(ell: int, dim: int) -> list:
-    """Orders k of the level-ell eigenfunctions (size = multiplicity)."""
-    if dim == 1:
-        return [0] if ell == 0 else [-1, 1]
-    if dim == 2:
-        return list(range(-ell, ell + 1))
-    raise ValueError("explicit eigenfunction index sets exist for d in {1, 2} only")
 
 
 def sh_bound_sq(dim: int, ell: int, k: int) -> float:

@@ -191,8 +191,16 @@ def newton_mle(pattern: PointPattern, spec: ScaledFitSpec, zeta0: float = 0.0) -
     alpha > 0.  Newton steps get step-halving when the likelihood drops
     and bisection when they leave the running sign bracket.  The fit stops
     once |score| < NEWTON_TOL and raises RuntimeError when that takes more
-    than NEWTON_MAX_ITERATIONS steps.
+    than NEWTON_MAX_ITERATIONS steps.  zeta0 must be finite with exp(zeta0)
+    finite.
     """
+    zeta = float(zeta0)
+    try:
+        start_ok = math.isfinite(zeta) and math.isfinite(math.exp(zeta))
+    except OverflowError:
+        start_ok = False
+    if not start_ok:
+        raise ValueError(f"zeta0 must be finite with exp(zeta0) finite, got {zeta0!r}")
     _check_sphere(pattern, spec.dim)
     n = len(pattern)
     if n == 0:
@@ -205,7 +213,6 @@ def newton_mle(pattern: PointPattern, spec: ScaledFitSpec, zeta0: float = 0.0) -
             f"({n} >= {m_total:.0f}); represent more levels"
         )
     psi_logdet = _psi_logdet(pattern, spec)
-    zeta = float(zeta0)
     lo, hi = -math.inf, math.inf  # score > 0 at lo, < 0 at hi
     loglik, sc, info = _profile(spec.alpha, m, n, zeta, psi_logdet)
     it = 0

@@ -17,7 +17,7 @@ from spheredpp.diagnostics import (
     montecarlo_validate,
     pcf,
 )
-from spheredpp.harmonics import index_set, multiplicity, norm_plm_table, sh_bound_sq
+from spheredpp.harmonics import multiplicity, norm_plm_table, sh_bound_sq
 from spheredpp.likelihood import ScaledFitSpec, loglik_score_info, newton_mle
 from spheredpp.models import (
     ModelSpec,
@@ -40,6 +40,14 @@ from spheredpp.spectra import (
 )
 from spheredpp.sphere import PointPattern, SpherePoint, sample_uniform_angles, surface_measure
 from spheredpp.streams import substream
+
+
+def index_set(ell, dim):
+    """Orders k of the level-ell eigenfunctions on S^dim, dim in {1, 2}: the
+    sign of the frequency on S^1 and -ell..ell on S^2."""
+    if dim == 1:
+        return [0] if ell == 0 else [-1, 1]
+    return list(range(-ell, ell + 1))
 
 
 def uniform_points(dim, n, rng):

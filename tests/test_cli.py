@@ -225,6 +225,23 @@ class TestExitCodes:
     def test_unknown_subcommand(self):
         assert run(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["simulate", "--out", "{out}", "--seed", "-1"], "--seed"),
+        (["validate", "--reps", "1"], "--reps"),
+        (["pcf", "--out", "{out}", "--grid", "0"], "--grid"),
+        (["pcf", "--out", "{out}", "--grid", "-2"], "--grid"),
+        (["mle", "--pattern", "{out}", "--zeta0", "nan"], "--zeta0"),
+        (["mle", "--pattern", "{out}", "--zeta0", "inf"], "--zeta0"),
+        (["mle", "--pattern", "{out}", "--zeta0", "1e300"], "--zeta0"),
+    ])
+    def test_bad_value_names_its_flag(self, tmp_path, capsys, mq_model, argv, flag):
+        # rejected while parsing: exit 2, the flag named, nothing written
+        out = tmp_path / "out.csv"
+        argv = [argv[0], "--model", str(mq_model), *(a.format(out=out) for a in argv[1:])]
+        assert run(argv) == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_runtime_error(self, tmp_path):
         assert run(["pcf", "--model", str(tmp_path / "missing.json"), "--out", "x.csv"]) == 1
 

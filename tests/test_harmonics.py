@@ -5,9 +5,7 @@ import pytest
 from scipy.special import eval_gegenbauer, eval_legendre, lpmv, sph_harm_y
 
 from spheredpp.harmonics import (
-    gegenbauer_at_one,
     gegenbauer_rows,
-    index_set,
     multiplicities,
     multiplicity,
     norm_plm_rows,
@@ -23,6 +21,21 @@ FOUR_PI = 4 * math.pi
 
 def rows(n_max, lam, s):
     return np.array(list(gegenbauer_rows(n_max, lam, s)))
+
+
+def gegenbauer_at_one(ell, lam):
+    """C_ell^(lam)(1) = binom(ell + 2 lam - 1, ell) for whole 2 lam > 0, and 1 for lam = 0."""
+    two_lam = int(2 * lam)
+    assert two_lam == 2 * lam
+    return 1.0 if lam == 0 else float(math.comb(ell + two_lam - 1, ell))
+
+
+def index_set(ell, dim):
+    """Orders k of the level-ell eigenfunctions on S^dim, dim in {1, 2}: the
+    sign of the frequency on S^1 and -ell..ell on S^2."""
+    if dim == 1:
+        return [0] if ell == 0 else [-1, 1]
+    return list(range(-ell, ell + 1))
 
 
 def basis(dim, pairs):
@@ -233,10 +246,6 @@ class TestSphericalHarmonics:
     def test_d1_fourier(self):
         val = basis(1, [(3, 1)]).eval_matrix(np.array([[0.9]]))[0, 0]
         assert val == pytest.approx(np.exp(3j * 0.9) / math.sqrt(2 * math.pi), abs=1e-14)
-
-    def test_d3_unsupported(self):
-        with pytest.raises(ValueError):
-            index_set(2, 3)
 
     def test_magnitude_bound_1000_points(self):
         rng = np.random.default_rng(12)

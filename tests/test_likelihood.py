@@ -248,6 +248,13 @@ class TestNewtonMle:
         with pytest.raises(RuntimeError, match="did not converge in 0 iterations"):
             newton_mle(pat, ScaledFitSpec(2, alpha))
 
+    @pytest.mark.parametrize("zeta0", [math.nan, math.inf, -math.inf, 1e300])
+    def test_start_without_a_finite_chi_rejected(self, zeta0):
+        alpha = np.array([0.0, 0.0, 0.0, 0.7])
+        pat = uniform_pattern(2, 4, 10)
+        with pytest.raises(ValueError, match="zeta0"):
+            newton_mle(pat, ScaledFitSpec(2, alpha), zeta0=zeta0)
+
     def test_precondition_failure(self):
         alpha = np.array([0.5])  # only level 0: m_total = 1
         pat = uniform_pattern(2, 3, 14)

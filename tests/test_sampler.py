@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, ks_2samp
 
-from spheredpp.harmonics import index_set
 from spheredpp.models import ModelSpec, most_repulsive_spectrum, resolve
 from spheredpp.sampler import (
     ProjectionBasis,
@@ -19,6 +18,14 @@ from spheredpp.spectra import MercerSpectrum
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def index_set(ell, dim):
+    """Orders k of the level-ell eigenfunctions on S^dim, dim in {1, 2}: the
+    sign of the frequency on S^1 and -ell..ell on S^2."""
+    if dim == 1:
+        return [0] if ell == 0 else [-1, 1]
+    return list(range(-ell, ell + 1))
 
 
 def index_set_basis(dim, n_levels):
