@@ -18,7 +18,7 @@ so Newton-Raphson in zeta finds the unique root of the monotone score.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,13 +53,18 @@ class DensityContext:
     @property
     def log_normalizer(self) -> float:
         """D = sum m_(l,d) log(1 + lambda~_(l,d)) >= 0."""
-        m = self.density.mults
-        return float(np.sum(m * np.log1p(self.density.values)))
+        return float(np.sum(self.density.mults * np.log1p(self.density.values)))
 
     def radial(self, s):
-        """C~_0(s) = sum_l lambda~_l m_l / sigma_d * normalized Gegenbauer."""
-        coeffs = self.density.values * self.density.mults / surface_measure(self.dim)
-        return eval_radial_series(coeffs, self.dim, s)
+        """C~_0(s), the radial function of the density-kernel spectrum."""
+        return _radial(self.density.values, self.dim, s)
+
+
+def _radial(values, dim: int, s):
+    """sum_l values_l m_(l,d) / sigma_d G_l(s) (normalized Gegenbauer): C~_0 of
+    density-kernel eigenvalues, psi of a correlation's Mercer coefficients."""
+    coeffs = values * multiplicities(len(values) - 1, dim) / surface_measure(dim)
+    return eval_radial_series(coeffs, dim, s)
 
 
 def _chol_logdet(mat: np.ndarray) -> float:
@@ -92,11 +97,8 @@ def log_density(pattern: PointPattern, ctx: DensityContext) -> float:
     """log f of a point configuration; the empty pattern gives
     sigma_d - D, and infeasible configurations give -inf."""
     _check_sphere(pattern, ctx.dim)
-    sigma = surface_measure(ctx.dim)
-    base = sigma - ctx.log_normalizer
-    if len(pattern) == 0:
-        return base
-    return base + _radial_logdet(pattern, ctx.radial)
+    base = surface_measure(ctx.dim) - ctx.log_normalizer
+    return base if len(pattern) == 0 else base + _radial_logdet(pattern, ctx.radial)
 
 
 @dataclass(frozen=True)
@@ -126,10 +128,13 @@ class ScaledFitSpec:
         return ScaledFitSpec(self.dim, self.alpha, chi)
 
 
-def _psi_logdet(pattern: PointPattern, spec: ScaledFitSpec) -> float:
-    sigma = surface_measure(spec.dim)
-    beta = spec.alpha * multiplicities(len(spec.alpha) - 1, spec.dim) / sigma
-    return _radial_logdet(pattern, lambda s: eval_radial_series(beta, spec.dim, s))
+def _fit_terms(pattern: PointPattern, spec: ScaledFitSpec):
+    """(n, multiplicities, log det psi(s_ij)) of a nonempty pattern on the fit's sphere."""
+    _check_sphere(pattern, spec.dim)
+    if len(pattern) == 0:
+        raise ValueError("cannot fit chi to an empty pattern")
+    m = multiplicities(len(spec.alpha) - 1, spec.dim)
+    return len(pattern), m, _radial_logdet(pattern, lambda s: _radial(spec.alpha, spec.dim, s))
 
 
 @dataclass(frozen=True)
@@ -152,12 +157,7 @@ def _profile(alpha: np.ndarray, m: np.ndarray, n: int, zeta: float, logdet: floa
 
 def loglik_score_info(pattern: PointPattern, spec: ScaledFitSpec) -> LoglikTriple:
     """Log-likelihood, score, and observed information at zeta = ln chi."""
-    _check_sphere(pattern, spec.dim)
-    n = len(pattern)
-    if n == 0:
-        raise ValueError("the likelihood in chi requires a nonempty pattern")
-    m = multiplicities(len(spec.alpha) - 1, spec.dim)
-    logdet = _psi_logdet(pattern, spec)
+    n, m, logdet = _fit_terms(pattern, spec)
     return LoglikTriple(*_profile(spec.alpha, m, n, math.log(spec.chi), logdet))
 
 
@@ -172,15 +172,7 @@ class FitResult:
     converged: bool
 
     def to_json(self) -> dict:
-        return {
-            "chi": self.chi,
-            "zeta": self.zeta,
-            "loglik": self.loglik,
-            "score": self.score,
-            "information": self.information,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
+        return asdict(self)
 
 
 def newton_mle(pattern: PointPattern, spec: ScaledFitSpec, zeta0: float = 0.0) -> FitResult:
@@ -201,18 +193,13 @@ def newton_mle(pattern: PointPattern, spec: ScaledFitSpec, zeta0: float = 0.0) -
         start_ok = False
     if not start_ok:
         raise ValueError(f"zeta0 must be finite with exp(zeta0) finite, got {zeta0!r}")
-    _check_sphere(pattern, spec.dim)
-    n = len(pattern)
-    if n == 0:
-        raise ValueError("cannot fit chi to an empty pattern")
-    m = multiplicities(len(spec.alpha) - 1, spec.dim)
+    n, m, psi_logdet = _fit_terms(pattern, spec)
     m_total = float(np.sum(m[spec.alpha > 0]))
     if n >= m_total:
         raise ValueError(
             f"score has no root: need n < sum of multiplicities with alpha > 0 "
             f"({n} >= {m_total:.0f}); represent more levels"
         )
-    psi_logdet = _psi_logdet(pattern, spec)
     lo, hi = -math.inf, math.inf  # score > 0 at lo, < 0 at hi
     loglik, sc, info = _profile(spec.alpha, m, n, zeta, psi_logdet)
     it = 0

@@ -20,9 +20,12 @@ Matern, and the compact families with support past pi, invert psi by
 quadrature.  The multiquadric and the spectral family are cut by
 ``truncate_levels``, under one tail rule.
 
-A DPP is specified either through its kernel C_0 = rho * psi with
-rho <= rho_max ("kernel" mode) or through the density kernel
-C~_0 = chi * psi with any chi > 0 ("density" mode).
+A psi family specifies a DPP through its kernel C_0 = rho psi with
+rho <= rho_max ("kernel" mode) or its density kernel C~_0 = chi psi with
+any chi > 0 ("density" mode); a spectrum family by its parameters alone.
+FAMILY_PARAMS holds each family's parameters, the interval of each and the
+sphere dimension the family needs.  ModelSpec and the family functions check
+against it, so a bad value fails, named, before any coefficient is computed.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ class TruncationError(RuntimeError):
 
 def multiquadric_psi(tau: float, delta: float):
     """Closed-form radial correlation of the multiquadric family."""
-    _check_multiquadric(tau, delta)
+    _check_params("multiquadric", tau=tau, delta=delta)
 
     def psi(s):
         s = np.asarray(s, dtype=float)
@@ -76,16 +79,9 @@ def multiquadric_psi(tau: float, delta: float):
     return psi
 
 
-def _check_multiquadric(tau, delta):
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-
-
 def multiquadric_beta0_s2(tau: float, delta: float) -> float:
     """Closed-form maximal 2-Schoenberg coefficient beta_(0,2)."""
-    _check_multiquadric(tau, delta)
+    _check_params("multiquadric", tau=tau, delta=delta)
     if tau == 1.0:
         return (1.0 - delta) ** 2 / (2.0 * delta) * math.log((1.0 + delta) / (1.0 - delta))
     return (
@@ -238,7 +234,7 @@ def multiquadric_d_schoenberg(
     then bounds every ratio from the last evaluated level n on (r_n..r_(n+2)
     are checked).
     """
-    _check_multiquadric(tau, delta)
+    _check_params("multiquadric", tau=tau, delta=delta)
     lead = math.floor(20.0 / -math.log(delta)) + 1  # delta^(2 lead) < e^-40
     if lead > 16 * max(trunc.max_level, 64):
         raise TruncationError(
@@ -333,8 +329,7 @@ def spectral_model_spectrum(
     of sum m*lambda is its exact suffix sum within the evaluated levels,
     plus a bound on what lies past them.
     """
-    if alpha <= 0 or beta <= 0 or kappa <= 0:
-        raise ValueError("alpha, beta, kappa must all be positive")
+    _check_params("spectral", alpha=alpha, beta=beta, kappa=kappa)
 
     def series(n):
         with np.errstate(over="ignore"):  # lambda is 0 where exp overflows
@@ -366,8 +361,7 @@ def most_repulsive_spectrum(
     TruncationError, and a boundary level holding at most tail_tol of eta
     is cut off into the tail bound.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    _check_params("most_repulsive", eta=eta)
 
     def series(n):
         mults = multiplicities(n, dim)
@@ -379,8 +373,6 @@ def most_repulsive_spectrum(
     try:
         values, tail = truncate_levels(series, trunc)
     except TruncationError as err:
-        if not math.isfinite(eta):
-            raise
         level = _boundary_level(eta, dim)
         raise TruncationError(
             f"most repulsive eta = {eta:g} on S^{dim} needs levels up to its boundary level "
@@ -396,17 +388,12 @@ def _boundary_level(eta: float, dim: int) -> int:
     def cum(n):
         return math.comb(n + dim, dim) + math.comb(n + dim - 1, dim)
 
+    import bisect  # only a failing resolve gets here
+
     hi = 1
     while cum(hi) < eta:
         hi *= 2
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cum(mid) < eta:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    return bisect.bisect_left(range(hi + 1), eta, key=cum)
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +408,7 @@ def matern_psi(nu: float, c: float):
     a valid correlation under the great-circle metric; psi(0) = 1 is
     the removable limit.  nu = 1/2 gives exp(-s/c).
     """
-    if not 0.0 < nu <= 0.5:
-        raise ValueError(f"nu must lie in (0, 1/2], got {nu}")
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
+    _check_params("matern", nu=nu, c=c)
     if nu == 0.5:
 
         def psi(s):
@@ -451,20 +435,20 @@ def matern_d1_coefficients(c: float, n_max: int) -> DSchoenbergSeq:
     """Exact 1-Schoenberg coefficients of the exponential correlation
     (nu = 1/2): beta_(0,1) = (c/pi)(1 - e^(-pi/c)) and
     beta_(l,1) = (2/pi)(1 + (-1)^(l+1) e^(-pi/c)) c/(1 + c^2 l^2)."""
-    if c <= 0:
-        raise ValueError("c must be positive")
+    _check_params("matern", c=c)
     e = math.exp(-math.pi / c)
     ells = np.arange(1, n_max + 1)
     values = np.empty(n_max + 1)
     values[0] = c / math.pi * (1.0 - e)
     values[1:] = (2.0 / math.pi) * (1.0 + (-1.0) ** (ells + 1) * e) * c / (1.0 + c * c * ells**2)
-    # 1/l^2 tail of the coefficient series
-    tail = (2.0 / math.pi) * (1.0 + e) / (c * n_max)
+    # 1/l^2 tail of the coefficient series, which bounds nothing when no level is past 0
+    tail = (2.0 / math.pi) * (1.0 + e) / (c * n_max) if n_max else math.inf
     return DSchoenbergSeq(1, values, tail_bound=min(tail, 1.0 - float(np.sum(values))))
 
 
 def matern_eta_max_d1(c: float) -> float:
     """eta_max = (pi/c) / (1 - exp(-pi/c)) for nu = 1/2, d = 1."""
+    _check_params("matern", c=c)
     return math.pi / c / (1.0 - math.exp(-math.pi / c))
 
 
@@ -481,8 +465,7 @@ def matern_d_schoenberg(nu: float, c: float, dim: int, n_max: int = 256) -> DSch
 
 def matern_pcf_slope(nu: float, c: float) -> float:
     """g_0'(0) of the Matern DPP: 2/c for nu = 1/2, +inf for nu < 1/2."""
-    if not 0.0 < nu <= 0.5:
-        raise ValueError(f"nu must lie in (0, 1/2], got {nu}")
+    _check_params("matern", nu=nu, c=c)
     return 2.0 / c if nu == 0.5 else math.inf
 
 
@@ -503,8 +486,7 @@ def circular_matern_spectrum(
     eigenvalue is the largest).  The algebraic tail is bounded by
     sigma^2 L^(-2 nu) / nu and recorded, not erred on.
     """
-    if sigma <= 0 or nu <= 0 or alpha <= 0:
-        raise ValueError("sigma, nu, alpha must all be positive")
+    _check_params("circular_matern", sigma=sigma, nu=nu, alpha=alpha)
     if trunc.max_level < 1:
         raise ValueError(f"trunc.max_level must be >= 1 for circular_matern, got {trunc.max_level}")
     lam0 = sigma**2 / alpha ** (2.0 * nu + 1.0)
@@ -624,10 +606,7 @@ def compact_support_psi(variant: str, c: float):
 def _check_compact(variant, c):
     if variant not in COMPACT_VARIANTS:
         raise ValueError(f"variant must be one of {COMPACT_VARIANTS}")
-    if c <= 0:
-        raise ValueError("c must be positive")
-    if variant in ("c2_wendland", "c4_wendland") and c > TWO_PI:
-        raise ValueError(f"{variant} requires c in (0, 2*pi], got {c}")
+    _check_params(variant, c=c)
 
 
 def compact_support_coeffs(variant: str, c: float, n_max: int) -> DSchoenbergSeq:
@@ -674,15 +653,45 @@ PSI_FAMILIES = ("multiquadric", "matern", "askey", "c2_wendland", "c4_wendland",
 SPECTRUM_FAMILIES = ("spectral", "most_repulsive", "circular_matern")
 ALL_FAMILIES = PSI_FAMILIES + SPECTRUM_FAMILIES
 
-# the parameters each family requires; no others are accepted
+
+class _Family(dict):
+    """Parameter name -> its interval as messages write it, brackets marking closed
+    ends; ``dim`` is the one sphere dimension the family needs, or None for any."""
+
+    def __init__(self, dim=None, **intervals):
+        super().__init__(intervals)
+        self.dim = dim
+
+
+# the parameters each family requires (no others are accepted), and where it is available
 FAMILY_PARAMS = {
-    "multiquadric": ("tau", "delta"),
-    "matern": ("nu", "c"),
-    **dict.fromkeys(COMPACT_VARIANTS, ("c",)),
-    "spectral": ("alpha", "beta", "kappa"),
-    "most_repulsive": ("eta",),
-    "circular_matern": ("sigma", "nu", "alpha"),
+    "multiquadric": _Family(tau="(0, inf)", delta="(0, 1)"),
+    "matern": _Family(nu="(0, 0.5]", c="(0, inf)"),
+    "askey": _Family(1, c="(0, inf)"),
+    "c2_wendland": _Family(1, c=f"(0, {TWO_PI!r}]"),
+    "c4_wendland": _Family(1, c=f"(0, {TWO_PI!r}]"),
+    "spherical": _Family(1, c="(0, inf)"),
+    "spectral": _Family(alpha="(0, inf)", beta="(0, inf)", kappa="(0, inf)"),
+    "most_repulsive": _Family(eta="(0, inf)"),
+    "circular_matern": _Family(1, sigma="(0, inf)", nu="(0, inf)", alpha="(0, inf)"),
 }
+
+
+def _check_params(family: str, dim: int | None = None, **values) -> dict:
+    """``values`` (some or all of ``family``'s parameters) as floats, each a
+    finite number in its interval, and ``dim``, if given, one the family is
+    available on; else ValueError naming the first that fails."""
+    table = FAMILY_PARAMS[family]
+    if dim is not None and table.dim not in (None, dim):
+        raise ValueError(f"{family} is available for d={table.dim} only, got d={dim}")
+    checked = {}
+    for name, value in values.items():
+        x = checked[name] = _number(value, name)
+        text = table[name]
+        low, high = (float(end) for end in text[1:-1].split(","))
+        if not ((low <= x if text[0] == "[" else low < x) and (x <= high if text[-1] == "]" else x < high)):
+            raise ValueError(f"{name} must lie in {text}, got {x!r}")
+    return checked
 
 
 def _number(value, name: str) -> float:
@@ -704,7 +713,13 @@ def _integer(value, name: str) -> int:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Parsed model description: family, parameters, intensity mode."""
+    """A model: family, parameters, sphere dimension and intensity mode.
+
+    Building one checks all that needs no coefficients (``resolve`` checks
+    existence and the cut): the parameters against FAMILY_PARAMS, and for a
+    psi family rho in kernel mode or chi in density mode, not both, positive
+    with its product with sigma_d finite; a spectrum family takes neither, in
+    kernel mode.  Each failure raises ValueError naming the field."""
 
     family: str
     params: dict
@@ -717,40 +732,48 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in ALL_FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; known: {ALL_FAMILIES}")
+        if not isinstance(self.params, dict):
+            raise ValueError(f"params must be an object, got {self.params!r}")
         required = FAMILY_PARAMS[self.family]
         for name in [*self.params, *required]:
             if name not in required:
                 raise ValueError(f"unknown parameter {name!r} for family {self.family!r}")
             if name not in self.params:
                 raise ValueError(f"missing parameter {name!r} for family {self.family!r}")
-        object.__setattr__(self, "params", {k: _number(v, k) for k, v in self.params.items()})
-        if _integer(self.dim, "dim") < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        dim = _integer(self.dim, "dim")
+        if dim < 1:
+            raise ValueError(f"dim must be >= 1, got {dim}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "params", _check_params(self.family, dim, **self.params))
         if self.mode not in ("kernel", "density"):
             raise ValueError("mode must be 'kernel' or 'density'")
-        if self.family in PSI_FAMILIES:
-            if self.mode == "kernel" and self.rho is None:
-                raise ValueError(f"{self.family} in kernel mode needs 'rho' (or 'eta')")
-            sigma = surface_measure(self.dim)
-            if self.mode == "density" and not 0 < (self.chi or 0.0) * sigma < math.inf:
-                raise ValueError(
-                    f"{self.family} in density mode needs 'chi' > 0 with chi * sigma_d finite"
-                )
+        spectrum = self.family in SPECTRUM_FAMILIES
+        needs = None if spectrum else {"kernel": "rho", "density": "chi"}[self.mode]
+        owner = self.family if spectrum else f"{self.family} in {self.mode} mode"
+        for name, label in (("rho", "'rho' or 'eta'"), ("chi", "'chi'")):
+            value = getattr(self, name)
+            if (value is None) == (name == needs):
+                raise ValueError(f"{owner} {'needs' if value is None else 'takes no'} {label}")
+            if value is not None:
+                value = _number(value, name)
+                if not 0 < value * surface_measure(dim) < math.inf:
+                    raise ValueError(f"{owner} needs {label} > 0 with {name} * sigma_d finite, got {value!r}")
+                object.__setattr__(self, name, value)
+        if spectrum and self.mode == "density":
+            raise ValueError(f"{self.family} takes no mode 'density': its parameters fix the kernel")
 
     def to_json(self) -> dict:
-        out = {
+        """The spec as a model object that ``load_model`` reads back."""
+        scale = {name: getattr(self, name) for name in ("rho", "chi") if getattr(self, name) is not None}
+        return {
             "schema": SCHEMA_VERSION,
             "family": self.family,
             "params": dict(self.params),
             "dim": self.dim,
             "mode": self.mode,
+            **scale,
+            "trunc": {"max_level": self.trunc.max_level, "tail_tol": self.trunc.tail_tol},
         }
-        if self.rho is not None:
-            out["rho"] = self.rho
-        if self.chi is not None:
-            out["chi"] = self.chi
-        out["trunc"] = {"max_level": self.trunc.max_level, "tail_tol": self.trunc.tail_tol}
-        return out
 
 
 # the top-level fields of a model JSON object (``ModelSpec.to_json`` writes a subset)
@@ -760,13 +783,15 @@ MODEL_FIELDS = frozenset({"schema", "family", "dim", "params", "trunc", "mode", 
 def load_model(source) -> ModelSpec:
     """Build a ModelSpec from a dict, JSON text, or a path to a JSON file.
 
-    Missing, unknown or non-numeric fields raise ValueError naming the field.
-    """
+    Only what is particular to JSON is checked here: an object with no field
+    outside MODEL_FIELDS, "family" and "dim" given, this schema, no "trunc"
+    key but "max_level" and "tail_tol", and "eta" (= rho sigma_d) in place of
+    "rho", never with it.  ModelSpec checks the rest; each failure raises
+    ValueError naming the field."""
     if isinstance(source, ModelSpec):
         return source
-    if isinstance(source, dict):
-        data = source
-    else:
+    data = source
+    if not isinstance(source, dict):
         text = str(source)
         if text.lstrip().startswith("{"):
             data = json.loads(text)
@@ -783,11 +808,9 @@ def load_model(source) -> ModelSpec:
     for name in ("family", "dim"):
         if name not in data:
             raise ValueError(f"missing field {name!r}")
-    dim = _integer(data["dim"], "dim")
-    params, trunc = data.get("params", {}), data.get("trunc", {})
-    for name, value in (("params", params), ("trunc", trunc)):
-        if not isinstance(value, dict):
-            raise ValueError(f"{name} must be an object, got {value!r}")
+    trunc = data.get("trunc", {})
+    if not isinstance(trunc, dict):
+        raise ValueError(f"trunc must be an object, got {trunc!r}")
     unknown = sorted(set(trunc) - {"max_level", "tail_tol"})
     if unknown:
         raise ValueError(f"unknown field 'trunc.{unknown[0]}'")
@@ -796,15 +819,17 @@ def load_model(source) -> ModelSpec:
         _number(trunc.get("tail_tol", TruncationPolicy.tail_tol), "trunc.tail_tol"),
     )
     rho = data.get("rho")
-    if rho is None and "eta" in data:
-        rho = _number(data["eta"], "eta") / surface_measure(dim)
+    if "eta" in data:
+        if "rho" in data:
+            raise ValueError("give 'eta' or 'rho', not both")
+        rho = _number(data["eta"], "eta") / surface_measure(_integer(data["dim"], "dim"))
     return ModelSpec(
         family=data["family"],
-        params=params,
-        dim=dim,
+        params=data.get("params", {}),
+        dim=data["dim"],
         mode=data.get("mode", "kernel"),
-        rho=None if rho is None else _number(rho, "rho"),
-        chi=None if data.get("chi") is None else _number(data["chi"], "chi"),
+        rho=rho,
+        chi=data.get("chi"),
         trunc=policy,
     )
 
@@ -831,26 +856,18 @@ class ResolvedModel:
 
 
 def _psi_family_beta(spec: ModelSpec):
-    """(psi, beta_d, pcf_derivatives) for the closed-form psi families."""
-    p = spec.params
+    """(psi, beta_d, pcf_derivatives) for the closed-form psi families, whose
+    functions take the parameters by their FAMILY_PARAMS names."""
+    p, n_max = spec.params, min(spec.trunc.max_level, 512)
     if spec.family == "multiquadric":
-        tau, delta = p["tau"], p["delta"]
-        chi = spec.chi if spec.mode == "density" else None
-        beta_d = multiquadric_d_schoenberg(tau, delta, spec.dim, spec.trunc, chi)
+        beta_d = multiquadric_d_schoenberg(**p, dim=spec.dim, trunc=spec.trunc, chi=spec.chi)
         # kernel mode: g_0 = 1 - psi^2 with psi(0) = 1 and psi'(0) = 0, so
         # g_0'(0) = 0 and g_0''(0) = -2 psi''(0) = 4 tau delta / (1 - delta)^2
-        exact = (0.0, 4.0 * tau * delta / (1.0 - delta) ** 2) if spec.mode == "kernel" else None
-        return multiquadric_psi(tau, delta), beta_d, exact
+        exact = (0.0, 4.0 * p["tau"] * p["delta"] / (1.0 - p["delta"]) ** 2) if spec.mode == "kernel" else None
+        return multiquadric_psi(**p), beta_d, exact
     if spec.family == "matern":
-        nu, c = p["nu"], p["c"]
-        beta_d = matern_d_schoenberg(nu, c, spec.dim, n_max=min(spec.trunc.max_level, 512))
-        return matern_psi(nu, c), beta_d, (matern_pcf_slope(nu, c), None)
-    # compactly supported families are implemented on the circle
-    if spec.dim != 1:
-        raise ValueError(f"{spec.family} coefficients are implemented for d=1 only")
-    c = p["c"]
-    n_max = min(spec.trunc.max_level, 512)
-    return compact_support_psi(spec.family, c), compact_support_coeffs(spec.family, c, n_max), None
+        return matern_psi(**p), matern_d_schoenberg(**p, dim=spec.dim, n_max=n_max), (matern_pcf_slope(**p), None)
+    return compact_support_psi(spec.family, **p), compact_support_coeffs(spec.family, **p, n_max=n_max), None
 
 
 def resolve(spec: ModelSpec) -> ResolvedModel:
@@ -874,15 +891,10 @@ def resolve(spec: ModelSpec) -> ResolvedModel:
         kernel = from_density_kernel(density)
         return ResolvedModel(spec, kernel, beta_from_kernel(kernel), psi, density, exact)
 
-    if spec.family == "spectral":
-        p = spec.params
-        kernel = spectral_model_spectrum(p["alpha"], p["beta"], p["kappa"], spec.dim, spec.trunc)
-    elif spec.family == "most_repulsive":
-        kernel = most_repulsive_spectrum(spec.params["eta"], spec.dim, spec.trunc)
-    else:  # circular_matern
-        if spec.dim != 1:
-            raise ValueError("circular_matern is defined on S^1")
-        p = spec.params
-        kernel = circular_matern_spectrum(p["sigma"], p["nu"], p["alpha"], spec.trunc)
+    if spec.family == "circular_matern":
+        kernel = circular_matern_spectrum(**spec.params, trunc=spec.trunc)
+    else:
+        family = spectral_model_spectrum if spec.family == "spectral" else most_repulsive_spectrum
+        kernel = family(**spec.params, dim=spec.dim, trunc=spec.trunc)
     density = to_density_kernel(kernel) if np.all(kernel.values < 1.0) else None
     return ResolvedModel(spec, kernel, beta_from_kernel(kernel), None, density, None)

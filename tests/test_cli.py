@@ -350,3 +350,75 @@ class TestModelValidation:
         captured = capsys.readouterr()
         assert "'chi'" in captured.err
         assert "nan" not in captured.out
+
+    SPECTRAL = {"family": "spectral", "params": {"alpha": 8.0, "beta": 1.0, "kappa": 2.0}, "dim": 2}
+    MQ_DENSITY = {"family": "multiquadric", "params": {"tau": 1.0, "delta": 0.5}, "dim": 2,
+                  "mode": "density", "chi": 2.0}
+
+    @pytest.mark.parametrize(
+        "data, named",
+        [
+            # a spectrum family takes no rho, eta or chi, and no density mode
+            (dict(SPECTRAL, eta=100.0, mode="density", chi=3.0), "'eta'"),
+            (dict(SPECTRAL, chi=3.0), "'chi'"),
+            (dict(SPECTRAL, mode="density"), "'density'"),
+            ({"family": "most_repulsive", "params": {"eta": 9.0}, "dim": 2, "eta": 9.0}, "'eta'"),
+            # density mode takes no rho or eta
+            (dict(MQ_DENSITY, eta=5.0), "'eta'"),
+            (dict(MQ_DENSITY, rho=0.1), "'rho'"),
+            # kernel mode takes no chi
+            (dict(MQ, chi=3.0), "'chi'"),
+            # eta and rho are one quantity: given both, neither is taken silently
+            (dict(MQ, rho=0.1), "'eta' or 'rho', not both"),
+        ],
+    )
+    def test_field_the_model_ignores_exits_1(self, tmp_path, capsys, data, named):
+        # each of these once exited 0 with the field dropped, or the other field taken
+        model, out = tmp_path / "m.json", tmp_path / "c.csv"
+        model.write_text(json.dumps(data))
+        assert run(["coeffs", "--model", str(model), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "data, named",
+        [
+            (dict(MQ, params={"tau": 0.0, "delta": 0.5}), "tau"),
+            (dict(MQ, params={"tau": 1.0, "delta": 0.0}), "delta"),
+            (dict(MQ, params={"tau": 1.0, "delta": 1.0}), "delta"),
+            (dict(MQ, family="matern", params={"nu": 0.0, "c": 1.0}), "nu"),
+            (dict(MQ, family="matern", params={"nu": 0.6, "c": 1.0}), "nu"),
+            (dict(MQ, family="matern", params={"nu": 0.5, "c": 0.0}), "c"),
+            ({"family": "c2_wendland", "params": {"c": 7.0}, "dim": 1, "rho": 0.1}, "c"),
+            ({"family": "c4_wendland", "params": {"c": 7.0}, "dim": 1, "rho": 0.1}, "c"),
+            (dict(SPECTRAL, params={"alpha": 0.0, "beta": 1.0, "kappa": 2.0}), "alpha"),
+            (dict(SPECTRAL, params={"alpha": 8.0, "beta": 0.0, "kappa": 2.0}), "beta"),
+            (dict(SPECTRAL, params={"alpha": 8.0, "beta": 1.0, "kappa": 0.0}), "kappa"),
+            ({"family": "most_repulsive", "params": {"eta": 0.0}, "dim": 2}, "eta"),
+            ({"family": "circular_matern", "params": {"sigma": 0.0, "nu": 0.5, "alpha": 1.0}, "dim": 1}, "sigma"),
+            ({"family": "askey", "params": {"c": 1.0}, "dim": 2, "rho": 0.01}, "d=1 only"),
+            ({"family": "circular_matern", "params": {"sigma": 0.5, "nu": 0.5, "alpha": 1.0}, "dim": 2},
+             "d=1 only"),
+            (dict(MQ, eta=math.nan), "eta"),
+            (dict(MQ, params={"tau": math.nan, "delta": 0.5}), "tau"),
+            (dict(MQ_DENSITY, chi=math.nan), "chi"),
+            (dict(MQ, dim=math.nan), "dim"),
+            (dict(MQ, trunc={"tail_tol": math.nan}), "trunc.tail_tol"),
+        ],
+    )
+    def test_out_of_range_field_exits_1_before_resolve(self, tmp_path, capsys, monkeypatch, data, named):
+        from spheredpp import models
+
+        def no_resolve(spec):
+            raise AssertionError("resolve reached")
+
+        monkeypatch.setattr(models, "resolve", no_resolve)
+        model, out = tmp_path / "m.json", tmp_path / "c.csv"
+        model.write_text(json.dumps(data))
+        assert run(["coeffs", "--model", str(model), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert named in err
+        assert "resolve reached" not in err
+        assert not out.exists()

@@ -422,6 +422,13 @@ class TestMatern:
         beta = matern_d1_coefficients(1.3, 10)
         assert matern_eta_max_d1(1.3) == pytest.approx(1.0 / beta.values[0], rel=1e-12)
 
+    def test_d1_coefficients_without_levels_past_0(self):
+        # trunc.max_level = 0 once divided by zero in the 1/l^2 tail
+        beta = matern_d1_coefficients(1.3, 0)
+        assert beta.tail_bound == 1.0 - beta.values[0]
+        spec = ModelSpec("matern", {"nu": 0.5, "c": 1.3}, 1, "density", chi=1.0, trunc=TruncationPolicy(max_level=0))
+        assert len(resolve(spec).kernel.values) == 1
+
     def test_nu_domain(self):
         with pytest.raises(ValueError):
             matern_psi(0.7, 1.0)
@@ -672,9 +679,127 @@ class TestModelSpecResolution:
         assert back.params == spec.params
 
     def test_compact_families_d1_only(self):
-        spec = ModelSpec(family="askey", params={"c": 1.0}, dim=2, rho=0.01)
-        with pytest.raises(ValueError):
-            resolve(spec)
+        # rejected when the spec is built, before resolve
+        with pytest.raises(ValueError, match="d=1 only"):
+            ModelSpec(family="askey", params={"c": 1.0}, dim=2, rho=0.01)
+
+
+MQ10 = {"tau": 10.0, "delta": 0.7416437737576226}  # the benchmark's mq10-400
+
+
+class TestModelSpecScale:
+    """rho and chi of a spec built in Python are checked as load_model's are."""
+
+    @pytest.mark.parametrize(
+        "mode, name, value",
+        [
+            ("kernel", "rho", math.nan),  # once resolved to eta = nan
+            ("kernel", "rho", "x"),  # once an unnamed TypeError
+            ("kernel", "rho", True),  # once read as 1.0
+            ("kernel", "rho", -1.0),  # once "eta must be positive"
+            ("kernel", "rho", math.inf),
+            ("kernel", "rho", 1e308),  # rho sigma_2 overflows
+            ("density", "chi", "2"),  # once an unnamed TypeError
+            ("density", "chi", math.nan),
+            ("density", "chi", 0.0),
+        ],
+    )
+    def test_rejected_at_construction(self, mode, name, value):
+        with pytest.raises(ValueError, match=name):
+            ModelSpec("multiquadric", MQ10, 2, mode, **{name: value})
+
+    def test_numbers_normalized(self):
+        spec = ModelSpec("multiquadric", {"tau": 10, "delta": 0.5}, 2.0, rho=np.float64(0.25))
+        assert (spec.dim, spec.rho, spec.params["tau"]) == (2, 0.25, 10.0)
+        assert type(spec.dim) is int and type(spec.rho) is float
+
+
+# Each parameter's interval, written out apart from FAMILY_PARAMS:
+# (low, high, low end closed, high end closed).
+POSITIVE = (0.0, math.inf, False, False)
+PARAMETER_INTERVALS = {
+    ("multiquadric", "tau"): POSITIVE,
+    ("multiquadric", "delta"): (0.0, 1.0, False, False),
+    ("matern", "nu"): (0.0, 0.5, False, True),
+    ("matern", "c"): POSITIVE,
+    ("askey", "c"): POSITIVE,
+    ("c2_wendland", "c"): (0.0, 2.0 * math.pi, False, True),
+    ("c4_wendland", "c"): (0.0, 2.0 * math.pi, False, True),
+    ("spherical", "c"): POSITIVE,
+    ("spectral", "alpha"): POSITIVE,
+    ("spectral", "beta"): POSITIVE,
+    ("spectral", "kappa"): POSITIVE,
+    ("most_repulsive", "eta"): POSITIVE,
+    ("circular_matern", "sigma"): POSITIVE,
+    ("circular_matern", "nu"): POSITIVE,
+    ("circular_matern", "alpha"): POSITIVE,
+}
+VALID_PARAMS = {
+    "multiquadric": {"tau": 1.0, "delta": 0.5},
+    "matern": {"nu": 0.5, "c": 1.0},
+    **{variant: {"c": 1.0} for variant in COMPACT_VARIANTS},
+    "spectral": {"alpha": 8.0, "beta": 1.0, "kappa": 2.0},
+    "most_repulsive": {"eta": 9.0},
+    "circular_matern": {"sigma": 0.5, "nu": 0.5, "alpha": 1.0},
+}
+SMALL = TruncationPolicy(max_level=64)
+
+
+def _family_function(family, params):
+    """Call the public function that takes ``family``'s parameters directly."""
+    if family == "multiquadric":
+        return multiquadric_psi(**params)
+    if family == "matern":
+        return matern_psi(**params)
+    if family in COMPACT_VARIANTS:
+        return compact_support_psi(family, **params)
+    if family == "spectral":
+        return spectral_model_spectrum(**params, dim=2, trunc=SMALL)
+    if family == "most_repulsive":
+        return most_repulsive_spectrum(**params, dim=2, trunc=SMALL)
+    return circular_matern_spectrum(**params, trunc=SMALL)
+
+
+def _model_object(family, params, dim=None):
+    on_circle = family in COMPACT_VARIANTS or family == "circular_matern"
+    data = {"family": family, "params": params, "dim": dim or (1 if on_circle else 2)}
+    if family in models.PSI_FAMILIES:
+        data["rho"] = 0.01
+    return data
+
+
+class TestParameterTable:
+    def test_intervals_cover_the_table(self):
+        assert set(PARAMETER_INTERVALS) == {(f, p) for f in FAMILY_PARAMS for p in FAMILY_PARAMS[f]}
+
+    @pytest.mark.parametrize("family, name", sorted(PARAMETER_INTERVALS))
+    def test_boundaries_on_both_paths(self, family, name):
+        low, high, low_closed, high_closed = PARAMETER_INTERVALS[(family, name)]
+        tiny = 1e-9
+        inside = [low if low_closed else low + tiny]
+        outside = [math.nextafter(low, -math.inf) if low_closed else low, math.nan]
+        if math.isfinite(high):
+            inside.append(high if high_closed else high - tiny)
+            outside.append(math.nextafter(high, math.inf) if high_closed else high)
+        for value in inside:
+            params = dict(VALID_PARAMS[family], **{name: value})
+            assert load_model(_model_object(family, params)).params[name] == value
+            try:
+                _family_function(family, params)
+            except (TruncationError, ExistenceError):
+                pass  # past the parameter check: the model does not exist or cut
+        for value in outside:
+            params = dict(VALID_PARAMS[family], **{name: value})
+            with pytest.raises(ValueError, match=rf"^{name} must ") as loaded:
+                load_model(_model_object(family, params))
+            with pytest.raises(ValueError) as called:
+                _family_function(family, params)
+            assert str(called.value) == str(loaded.value)
+
+    @pytest.mark.parametrize("family", [*COMPACT_VARIANTS, "circular_matern"])
+    def test_circle_families_rejected_on_the_sphere(self, family):
+        with pytest.raises(ValueError, match=f"^{family} is available for d=1 only, got d=2$"):
+            load_model(_model_object(family, VALID_PARAMS[family], dim=2))
 
 
 JSON_VALUES = st.recursive(
@@ -687,22 +812,35 @@ FIELDS = ["schema", "family", "params", "dim", "mode", "rho", "eta", "chi", "tru
 
 
 @st.composite
-def model_objects(draw):
-    """A well-formed model object with up to three fields dropped, replaced
-    by arbitrary JSON, or added; so every check in load_model is reached."""
+def valid_model_objects(draw):
+    """A model object that loads.  Every parameter interval holds [0.01, 0.5];
+    the compact families and circular_matern live on S^1; a psi family takes
+    rho or eta in kernel mode and chi in density mode, a spectrum family none."""
     family = draw(st.sampled_from(sorted(FAMILY_PARAMS)))
-    params = {name: draw(st.floats(0.01, 5.0)) for name in FAMILY_PARAMS[family]}
+    on_circle = family in COMPACT_VARIANTS or family == "circular_matern"
     data = {
         "schema": 1,
         "family": family,
-        "params": params,
-        "dim": draw(st.integers(1, 3)),
-        "mode": draw(st.sampled_from(["kernel", "density"])),
-        draw(st.sampled_from(["rho", "eta"])): draw(st.floats(0.01, 5.0)),
-        "chi": draw(st.floats(0.01, 5.0)),
+        "params": {name: draw(st.floats(0.01, 0.5)) for name in FAMILY_PARAMS[family]},
+        "dim": 1 if on_circle else draw(st.integers(1, 3)),
+        "mode": "kernel",
         "trunc": {"max_level": draw(st.integers(0, 100)), "tail_tol": draw(st.floats(1e-9, 1e-3))},
     }
-    keys = FIELDS + [f"params.{name}" for name in FAMILY_PARAMS[family]]
+    if family in models.SPECTRUM_FAMILIES:
+        return data
+    if draw(st.booleans()):
+        data[draw(st.sampled_from(["rho", "eta"]))] = draw(st.floats(0.01, 5.0))
+    else:
+        data.update(mode="density", chi=draw(st.floats(0.01, 5.0)))
+    return data
+
+
+@st.composite
+def model_objects(draw):
+    """A valid model object with up to three fields dropped, replaced by
+    arbitrary JSON, or added; so every check in load_model is reached."""
+    data = draw(valid_model_objects())
+    keys = FIELDS + [f"params.{name}" for name in FAMILY_PARAMS[data["family"]]]
     keys += ["params.typo", "trunc.max_level", "trunc.tail_tol", "trunc.typo", "extra"]
     for key in draw(st.lists(st.sampled_from(keys), max_size=3)):
         owner, name = data, key
@@ -731,7 +869,15 @@ class TestLoadModelFuzz:
             return
         assert isinstance(spec, ModelSpec)
         assert set(spec.params) == set(FAMILY_PARAMS[spec.family])
-        assert all(math.isfinite(v) for v in spec.params.values())
+        assert all(math.isfinite(v) for v in [*spec.params.values(), spec.rho or 0.0, spec.chi or 0.0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(valid_model_objects())
+    def test_valid_objects_load_and_round_trip(self, data):
+        # the fuzz above starts from objects that build, and to_json writes
+        # an object that loads back to the same spec
+        spec = load_model(data)
+        assert load_model(json.dumps(spec.to_json())) == spec
 
 
 SIGMA2 = surface_measure(2)
