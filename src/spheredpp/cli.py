@@ -157,7 +157,7 @@ def cmd_mle(args) -> int:
 
     model = models.resolve(models.load_model(args.model))
     pattern = sphere.PointPattern.from_csv(args.pattern)
-    alpha = spectra.correlation_mercer(model.correlation_beta)
+    alpha = spectra.correlation_mercer(model.psi_beta)
     fit_spec = likelihood.ScaledFitSpec.from_correlation(alpha)
     fit = likelihood.newton_mle(pattern, fit_spec, zeta0=args.zeta0)
     payload = fit.to_json()

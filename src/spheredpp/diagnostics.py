@@ -219,9 +219,9 @@ def repulsiveness_report(model) -> RepulsivenessReport:
 
 
 def radial_correlation(model, s):
-    """R_0(s) of a resolved model: the closed-form psi in kernel mode,
+    """R_0(s) of a resolved model: its closed form where it has one,
     else the truncated coefficient series of the kernel spectrum."""
-    if model.psi is not None and model.spec.mode == "kernel":
+    if model.psi is not None:
         return np.asarray(model.psi(s), dtype=float)
     return eval_psi_series(model.correlation_beta, s)
 

@@ -13,6 +13,9 @@ coefficients alpha_(l,d)) and zeta = ln chi,
     info     = sum m alpha chi / (1 + alpha chi)^2  > 0,
 
 so Newton-Raphson in zeta finds the unique root of the monotone score.
+
+ScaledFitSpec and newton_mle read their numbers through the checkers of
+``spectra``, which raise ValueError naming the field.
 """
 
 from __future__ import annotations
@@ -23,12 +26,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .harmonics import multiplicities
-from .spectra import MercerSpectrum, eval_radial_series, to_density_kernel
+from .spectra import MercerSpectrum, _coefficients, _integer, _number, eval_radial_series, to_density_kernel
 from .sphere import PointPattern, surface_measure
 
 # |score| below which Newton-Raphson stops, and the most steps it takes
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITERATIONS = 100
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # the largest zeta with exp(zeta) finite
 
 
 @dataclass(frozen=True)
@@ -104,19 +108,22 @@ def log_density(pattern: PointPattern, ctx: DensityContext) -> float:
 @dataclass(frozen=True)
 class ScaledFitSpec:
     """Fixed correlation (Mercer coefficients alpha_(l,d)) with a free
-    positive scaling chi of the density kernel."""
+    positive scaling chi of the density kernel; spectra's checkers read dim, alpha
+    and chi as an int >= 1, a float array of finite entries >= 0 and a float > 0."""
 
     dim: int
     alpha: np.ndarray
     chi: float = 1.0
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float)
-        if np.any(alpha < 0):
-            raise ValueError("Mercer coefficients must be nonnegative")
-        if self.chi <= 0:
+        dim, chi = _integer(self.dim, "dim"), _number(self.chi, "chi")
+        if dim < 1:
+            raise ValueError("dimension must be >= 1")
+        if chi <= 0:
             raise ValueError("chi must be positive")
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "alpha", _coefficients(self.alpha, "alpha"))
+        object.__setattr__(self, "chi", chi)
 
     @classmethod
     def from_correlation(cls, spec: MercerSpectrum, chi: float = 1.0) -> "ScaledFitSpec":
@@ -183,15 +190,11 @@ def newton_mle(pattern: PointPattern, spec: ScaledFitSpec, zeta0: float = 0.0) -
     alpha > 0.  Newton steps get step-halving when the likelihood drops
     and bisection when they leave the running sign bracket.  The fit stops
     once |score| < NEWTON_TOL and raises RuntimeError when that takes more
-    than NEWTON_MAX_ITERATIONS steps.  zeta0 must be finite with exp(zeta0)
-    finite.
+    than NEWTON_MAX_ITERATIONS steps.  zeta0 must be a finite number with
+    exp(zeta0) finite, or ValueError names it.
     """
-    zeta = float(zeta0)
-    try:
-        start_ok = math.isfinite(zeta) and math.isfinite(math.exp(zeta))
-    except OverflowError:
-        start_ok = False
-    if not start_ok:
+    zeta = _number(zeta0, "zeta0")
+    if zeta > _LOG_FLOAT_MAX:
         raise ValueError(f"zeta0 must be finite with exp(zeta0) finite, got {zeta0!r}")
     n, m, psi_logdet = _fit_terms(pattern, spec)
     m_total = float(np.sum(m[spec.alpha > 0]))

@@ -32,8 +32,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -46,6 +44,8 @@ from .spectra import (
     ExistenceError,
     MercerSpectrum,
     TruncationPolicy,
+    _integer,
+    _number,
     beta_from_kernel,
     correlation_mercer,
     d_schoenberg_from_psi,
@@ -441,15 +441,15 @@ def matern_d1_coefficients(c: float, n_max: int) -> DSchoenbergSeq:
     values = np.empty(n_max + 1)
     values[0] = c / math.pi * (1.0 - e)
     values[1:] = (2.0 / math.pi) * (1.0 + (-1.0) ** (ells + 1) * e) * c / (1.0 + c * c * ells**2)
-    # 1/l^2 tail of the coefficient series, which bounds nothing when no level is past 0
+    # 1/l^2 tail, which bounds nothing with no level past 0; 1 - sum rounds below 0 past c ~ 1e7
     tail = (2.0 / math.pi) * (1.0 + e) / (c * n_max) if n_max else math.inf
-    return DSchoenbergSeq(1, values, tail_bound=min(tail, 1.0 - float(np.sum(values))))
+    return DSchoenbergSeq(1, values, tail_bound=max(0.0, min(tail, 1.0 - float(np.sum(values)))))
 
 
 def matern_eta_max_d1(c: float) -> float:
-    """eta_max = (pi/c) / (1 - exp(-pi/c)) for nu = 1/2, d = 1."""
-    _check_params("matern", c=c)
-    return math.pi / c / (1.0 - math.exp(-math.pi / c))
+    """eta_max = 1/beta_(0,1) = (pi/c) / (1 - exp(-pi/c)) for nu = 1/2, d = 1
+    (psi is positive), from the same coefficients that resolve uses."""
+    return 1.0 / float(matern_d1_coefficients(c, 0).values[0])
 
 
 def matern_d_schoenberg(nu: float, c: float, dim: int, n_max: int = 256) -> DSchoenbergSeq:
@@ -684,31 +684,8 @@ def _check_params(family: str, dim: int | None = None, **values) -> dict:
     table = FAMILY_PARAMS[family]
     if dim is not None and table.dim not in (None, dim):
         raise ValueError(f"{family} is available for d={table.dim} only, got d={dim}")
-    checked = {}
-    for name, value in values.items():
-        x = checked[name] = _number(value, name)
-        text = table[name]
-        low, high = (float(end) for end in text[1:-1].split(","))
-        if not ((low <= x if text[0] == "[" else low < x) and (x <= high if text[-1] == "]" else x < high)):
-            raise ValueError(f"{name} must lie in {text}, got {x!r}")
-    return checked
-
-
-def _number(value, name: str) -> float:
-    """``value`` as a finite float; anything else raises ValueError naming ``name``."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if real and abs(value) <= sys.float_info.max:
-        return float(value)
-    raise ValueError(f"{name} must be a finite number, got {value!r}")
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int (integral floats allowed); else ValueError naming ``name``."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+    # NaN and inf fail as not finite, before the interval is read
+    return {name: _number(_number(value, name), name, table[name]) for name, value in values.items()}
 
 
 @dataclass(frozen=True)
@@ -814,10 +791,6 @@ def load_model(source) -> ModelSpec:
     unknown = sorted(set(trunc) - {"max_level", "tail_tol"})
     if unknown:
         raise ValueError(f"unknown field 'trunc.{unknown[0]}'")
-    policy = TruncationPolicy(
-        _integer(trunc.get("max_level", TruncationPolicy.max_level), "trunc.max_level"),
-        _number(trunc.get("tail_tol", TruncationPolicy.tail_tol), "trunc.tail_tol"),
-    )
     rho = data.get("rho")
     if "eta" in data:
         if "rho" in data:
@@ -830,20 +803,23 @@ def load_model(source) -> ModelSpec:
         mode=data.get("mode", "kernel"),
         rho=rho,
         chi=data.get("chi"),
-        trunc=policy,
+        trunc=TruncationPolicy(**trunc),
     )
 
 
 @dataclass(frozen=True)
 class ResolvedModel:
-    """A model spec resolved to spectra ready for simulation/inference."""
+    """A model spec resolved to spectra ready for simulation/inference: the masses
+    of the kernel's own correlation R_0, and of the psi that a density kernel chi psi
+    scales (R_0 for a spectrum family); R_0 in closed form (psi in kernel mode) and
+    the exact (g_0'(0), g_0''(0)) of g_0 = 1 - R_0^2, where known."""
 
     spec: ModelSpec
     kernel: MercerSpectrum
     correlation_beta: DSchoenbergSeq
+    psi_beta: DSchoenbergSeq
     psi: object | None = None
     density: MercerSpectrum | None = None
-    # exact (g_0'(0), g_0''(0)) from the closed-form psi; None where unknown
     pcf_derivatives: tuple | None = None
 
     @property
@@ -857,7 +833,8 @@ class ResolvedModel:
 
 def _psi_family_beta(spec: ModelSpec):
     """(psi, beta_d, pcf_derivatives) for the closed-form psi families, whose
-    functions take the parameters by their FAMILY_PARAMS names."""
+    functions take the parameters by their FAMILY_PARAMS names; the derivatives
+    are those of 1 - psi^2, the multiquadric's in kernel mode only."""
     p, n_max = spec.params, min(spec.trunc.max_level, 512)
     if spec.family == "multiquadric":
         beta_d = multiquadric_d_schoenberg(**p, dim=spec.dim, trunc=spec.trunc, chi=spec.chi)
@@ -876,6 +853,8 @@ def resolve(spec: ModelSpec) -> ResolvedModel:
     Kernel mode checks the existence bound rho <= rho_max; density mode
     maps lambda~ = chi alpha back to kernel eigenvalues, which always
     exist, and the kernel inherits the density tail bound (lambda <= lambda~).
+    There R_0, the correlation of chi alpha / (1 + chi alpha), has no closed form;
+    its singular part (chi sigma_d / eta) psi scales the slope of 1 - psi^2 at 0.
     """
     sigma = surface_measure(spec.dim)
     if spec.family in PSI_FAMILIES:
@@ -883,13 +862,15 @@ def resolve(spec: ModelSpec) -> ResolvedModel:
         if spec.mode == "kernel":
             kernel = mercer_from_d(beta_d, spec.rho * sigma)
             density = to_density_kernel(kernel) if np.all(kernel.values < 1.0) else None
-            return ResolvedModel(spec, kernel, beta_d, psi, density, exact)
+            return ResolvedModel(spec, kernel, beta_d, beta_d, psi, density, exact)
         alpha = correlation_mercer(beta_d)
         density = MercerSpectrum(
             spec.dim, "density-kernel", spec.chi * alpha.values, spec.chi * alpha.tail_bound
         )
         kernel = from_density_kernel(density)
-        return ResolvedModel(spec, kernel, beta_from_kernel(kernel), psi, density, exact)
+        if exact is not None:
+            exact = (exact[0] * spec.chi * sigma / kernel.eta, None)
+        return ResolvedModel(spec, kernel, beta_from_kernel(kernel), beta_d, None, density, exact)
 
     if spec.family == "circular_matern":
         kernel = circular_matern_spectrum(**spec.params, trunc=spec.trunc)
@@ -897,4 +878,5 @@ def resolve(spec: ModelSpec) -> ResolvedModel:
         family = spectral_model_spectrum if spec.family == "spectral" else most_repulsive_spectrum
         kernel = family(**spec.params, dim=spec.dim, trunc=spec.trunc)
     density = to_density_kernel(kernel) if np.all(kernel.values < 1.0) else None
-    return ResolvedModel(spec, kernel, beta_from_kernel(kernel), None, density, None)
+    beta = beta_from_kernel(kernel)
+    return ResolvedModel(spec, kernel, beta, beta, None, density, None)

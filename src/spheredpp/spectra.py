@@ -13,12 +13,17 @@ between them:
 
 The links are alpha = sigma_d beta / m, lambda = eta beta / m, and
 lambda~ = lambda / (1 - lambda).
+
+Public constructors here, in ``models`` and in ``likelihood`` read every
+number through ``_number``, ``_integer`` or ``_coefficients``, which raise
+ValueError naming the field.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,8 +31,48 @@ from math import comb, lgamma
 
 import numpy as np
 
-from .harmonics import gegenbauer_rows, multiplicities, multiplicity
+from .harmonics import gegenbauer_rows, multiplicities
 from .sphere import surface_measure
+
+
+def _number(value, name: str, interval: str | None = None) -> float:
+    """``value`` as a finite float; anything else raises ValueError naming ``name``,
+    as a value outside ``interval`` does ("(0, 1)", "[0, inf)": brackets mark the
+    closed ends), NaN and inf included."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an integer past the double range
+        x = math.inf if value > 0 else -math.inf
+    text = interval or "(-inf, inf)"
+    low, high = (float(end) for end in text[1:-1].split(","))
+    if math.isfinite(x) and (low <= x if text[0] == "[" else low < x) and (x <= high if text[-1] == "]" else x < high):
+        return x
+    if real and interval:
+        raise ValueError(f"{name} must lie in {interval}, got {x!r}")
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int (integral floats allowed); else ValueError naming ``name``."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _coefficients(values, name: str) -> np.ndarray:
+    """``values`` as a 1-d float array of finite entries, each >= -1e-12 (roundoff)
+    and clamped at 0; anything else raises ValueError naming ``name``."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a 1-d sequence of numbers, got {arr.ndim}-d {arr.dtype}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite, got {float(arr[~np.isfinite(arr)][0])!r}")
+    if np.any(arr < -1e-12):
+        raise ValueError(f"{name} must be nonnegative, got {float(arr.min())!r}")
+    return np.maximum(arr, 0.0, dtype=float)
 
 
 class ExistenceError(ValueError):
@@ -40,32 +85,52 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Series truncation contract: hard level cap and the tail's largest share of the count."""
+    """Series truncation contract: hard level cap (an int >= 0, read by ``_integer``)
+    and the tail's largest share of the count (a float in (0, 1), read by ``_number``)."""
 
     max_level: int = 4096
     tail_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.max_level < 0:
-            raise ValueError(f"trunc.max_level must be >= 0, got {self.max_level}")
-        if not 0 < self.tail_tol < 1:
-            raise ValueError(f"trunc.tail_tol must lie in (0, 1), got {self.tail_tol}")
+        max_level = _integer(self.max_level, "trunc.max_level")
+        if max_level < 0:
+            raise ValueError(f"trunc.max_level must be >= 0, got {max_level}")
+        object.__setattr__(self, "max_level", max_level)
+        object.__setattr__(self, "tail_tol", _number(self.tail_tol, "trunc.tail_tol", "(0, 1)"))
+
+
+class _Sequence:
+    """What the sequence kinds share.  Building one reads ``dim``, where the kind
+    has one, as an integer >= 1, ``values`` through ``_coefficients`` and
+    ``tail_bound`` as a finite number >= 0."""
+
+    def __post_init__(self):
+        if hasattr(self, "dim"):
+            dim = _integer(self.dim, "dim")
+            if dim < 1:
+                raise ValueError("dimension must be >= 1")
+            object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "values", _coefficients(self.values, "values"))
+        object.__setattr__(self, "tail_bound", _number(self.tail_bound, "tail_bound", "[0, inf)"))
+
+    def __len__(self):
+        return len(self.values)
+
+    def to_json(self) -> dict:
+        dim = {"dim": self.dim} if hasattr(self, "dim") else {}
+        return {"kind": self.kind, **dim, "values": self.values.tolist(), "tail_bound": self.tail_bound}
 
 
 @dataclass(frozen=True)
-class SchoenbergSeq:
-    """Nonnegative cos^l expansion weights; sums to 1 up to the tail."""
+class SchoenbergSeq(_Sequence):
+    """Nonnegative cos^l expansion weights summing to 1 up to the tail; ``_Sequence`` reads them."""
 
+    kind = "schoenberg"
     values: np.ndarray
     tail_bound: float = 0.0
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1:
-            raise ValueError("values must be a 1-d sequence")
-        if np.any(vals < -1e-12):
-            raise ValueError("Schoenberg coefficients must be nonnegative")
-        object.__setattr__(self, "values", np.maximum(vals, 0.0))
+        super().__post_init__()
         gap = 1.0 - float(np.sum(self.values))
         if gap < -1e-9 or gap > self.tail_bound + 1e-9:
             raise ValueError(
@@ -73,59 +138,32 @@ class SchoenbergSeq:
                 f"(sum={np.sum(self.values)}, tail_bound={self.tail_bound})"
             )
 
-    def __len__(self):
-        return len(self.values)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "schoenberg",
-            "values": [float(v) for v in self.values],
-            "tail_bound": float(self.tail_bound),
-        }
-
 
 @dataclass(frozen=True)
-class DSchoenbergSeq:
-    """d-Schoenberg probability masses beta_(l,d) on a fixed S^d.
+class DSchoenbergSeq(_Sequence):
+    """d-Schoenberg probability masses beta_(l,d) on a fixed S^d, read by ``_Sequence``.
 
     tail_bound bounds the mass past the last level; as a bound it may exceed
     1 - sum(values), so only the represented mass is checked against 1.
     """
 
+    kind = "d-schoenberg"
     dim: int
     values: np.ndarray
     tail_bound: float = 0.0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1:
-            raise ValueError("values must be a 1-d sequence")
-        if np.any(vals < -1e-12):
-            raise ValueError("d-Schoenberg coefficients must be nonnegative")
-        object.__setattr__(self, "values", np.maximum(vals, 0.0))
+        super().__post_init__()
         if float(np.sum(self.values)) > 1.0 + 1e-9:
             raise ValueError("total mass exceeds 1")
-
-    def __len__(self):
-        return len(self.values)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "d-schoenberg",
-            "dim": self.dim,
-            "values": [float(v) for v in self.values],
-            "tail_bound": float(self.tail_bound),
-        }
 
 
 VALID_KINDS = ("correlation", "kernel", "density-kernel")
 
 
 @dataclass(frozen=True)
-class MercerSpectrum:
-    """Per-level Mercer coefficients with multiplicities m_(l,d).
+class MercerSpectrum(_Sequence):
+    """Per-level Mercer coefficients with multiplicities m_(l,d), read by ``_Sequence``.
 
     kind = "kernel" holds DPP eigenvalues lambda_(l,d) in [0, 1];
     kind = "correlation" holds alpha_(l,d) >= 0;
@@ -141,22 +179,13 @@ class MercerSpectrum:
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
             raise ValueError(f"kind must be one of {VALID_KINDS}")
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
-        vals = np.asarray(self.values, dtype=float)
-        if np.any(vals < -1e-12):
-            raise ValueError("Mercer coefficients must be nonnegative")
-        vals = np.maximum(vals, 0.0)
+        super().__post_init__()
         if self.kind == "kernel":
-            if np.any(vals > 1.0 + 1e-12):
+            if np.any(self.values > 1.0 + 1e-12):
                 raise ExistenceError(
-                    f"kernel eigenvalues must lie in [0, 1]; max is {vals.max()}"
+                    f"kernel eigenvalues must lie in [0, 1]; max is {self.values.max()}"
                 )
-            vals = np.minimum(vals, 1.0)
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self):
-        return len(self.values)
+            object.__setattr__(self, "values", np.minimum(self.values, 1.0))
 
     @property
     def mults(self) -> np.ndarray:
@@ -179,28 +208,18 @@ class MercerSpectrum:
             np.all((self.values == 0.0) | (self.values == 1.0))
         )
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dim": self.dim,
-            "values": [float(v) for v in self.values],
-            "tail_bound": float(self.tail_bound),
-        }
-
 
 def sequence_from_json(data) -> SchoenbergSeq | DSchoenbergSeq | MercerSpectrum:
     """Rebuild any serialized sequence kind from its dict or JSON text."""
     if isinstance(data, str):
         data = json.loads(data)
-    kind = data["kind"]
-    values = np.asarray(data["values"], dtype=float)
-    tail = float(data.get("tail_bound", 0.0))
+    kind, values, tail = data["kind"], data["values"], data.get("tail_bound", 0.0)
     if kind == "schoenberg":
         return SchoenbergSeq(values, tail)
     if kind == "d-schoenberg":
-        return DSchoenbergSeq(int(data["dim"]), values, tail)
+        return DSchoenbergSeq(data["dim"], values, tail)
     if kind in VALID_KINDS:
-        return MercerSpectrum(int(data["dim"]), kind, values, tail)
+        return MercerSpectrum(data["dim"], kind, values, tail)
     raise ValueError(f"unknown sequence kind {kind!r}")
 
 
@@ -246,7 +265,7 @@ def schoenberg_to_d(seq: SchoenbergSeq, dim: int, n_max: int) -> DSchoenbergSeq:
     level cap n_max, plus the input's own tail, is carried into the
     output tail bound (the weights at fixed l sum to 1 over n).
     """
-    beta = np.asarray(seq.values, dtype=float)
+    beta = seq.values
     L = len(beta) - 1
     out = np.zeros(n_max + 1)
     for n in range(min(n_max, L) + 1):
@@ -425,24 +444,19 @@ class RhoMax:
         return self.value
 
 
-def rho_max(beta_d: DSchoenbergSeq, nonnegative_psi: bool = False) -> RhoMax:
+def rho_max(beta_d: DSchoenbergSeq) -> RhoMax:
     """Largest intensity rho with all eigenvalues <= 1.
 
     rho_max = inf over l with beta_(l,d) > 0 of m_(l,d) / (sigma_d beta_(l,d)).
-    When the caller asserts psi >= 0 the infimum is attained at l = 0
-    and the result is exact.
+    When psi >= 0, alpha_(0,d) is the largest eigenvalue, so the infimum is
+    m_(0,d) / (sigma_d beta_(0,d)).
     """
-    sigma = surface_measure(beta_d.dim)
     vals = beta_d.values
-    if nonnegative_psi:
-        if len(vals) == 0 or vals[0] <= 0.0:
-            raise ValueError("nonnegative psi must have beta_(0,d) > 0")
-        return RhoMax(multiplicity(0, beta_d.dim) / (sigma * vals[0]), False)
     pos = np.nonzero(vals > 0.0)[0]
     if len(pos) == 0:
         raise ValueError("all coefficients are zero")
     m = multiplicities(len(vals) - 1, beta_d.dim)
-    ratios = m[pos] / (sigma * vals[pos])
+    ratios = m[pos] / (surface_measure(beta_d.dim) * vals[pos])
     return RhoMax(float(np.min(ratios)), prefix_infimum=beta_d.tail_bound > 0.0)
 
 

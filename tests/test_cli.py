@@ -4,7 +4,10 @@ import math
 import pytest
 
 from spheredpp.cli import run
+from spheredpp.models import load_model, resolve
+from spheredpp.sampler import sample_dpp
 from spheredpp.sphere import PointPattern, SpherePoint
+from spheredpp.streams import substream
 
 
 @pytest.fixture
@@ -164,6 +167,22 @@ class TestFitCommands:
         assert code == 0
         fit = json.loads(fit_out.read_text())
         assert fit["converged"] is True
+
+    def test_density_mode_mle_fits_the_scale_of_psi(self, tmp_path):
+        # mle fits chi of chi psi: the chi a density-mode model file holds must not
+        # move the fit (it once fitted 37.202, 36.663 and 33.680 for chi = 1, 5, 50)
+        base = {"family": "multiquadric", "params": {"tau": 10.0, "delta": 0.74}, "dim": 2}
+        draw = sample_dpp(resolve(load_model(dict(base, eta=300.0))), substream(3, "basis"))
+        pts = tmp_path / "pts.csv"
+        draw.pattern.to_csv(pts)
+        assert len(draw.pattern) == 316
+        fits = []
+        for data in [dict(base, eta=300.0)] + [dict(base, mode="density", chi=chi) for chi in (1.0, 5.0, 50.0)]:
+            model, out = tmp_path / "m.json", tmp_path / "fit.json"
+            model.write_text(json.dumps(data))
+            assert run(["mle", "--model", str(model), "--pattern", str(pts), "--out", str(out)]) == 0
+            fits.append(json.loads(out.read_text())["chi"])
+        assert fits == pytest.approx([fits[0]] * 4, rel=1e-5)
 
     @pytest.mark.parametrize("command", ["loglik", "mle"])
     def test_pattern_on_another_sphere_exits_1(self, tmp_path, capsys, command):

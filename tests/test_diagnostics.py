@@ -30,7 +30,7 @@ from spheredpp.spectra import (
     eval_psi_series,
 )
 from spheredpp.sampler import sample_dpp
-from spheredpp.sphere import PointPattern, SpherePoint, sample_uniform_angles
+from spheredpp.sphere import PointPattern, SpherePoint, sample_uniform_angles, surface_measure
 from spheredpp.streams import substream
 
 
@@ -258,6 +258,27 @@ class TestReport:
         report = repulsiveness_report(model)
         assert report.slope == pytest.approx(4.0)  # 2/c
         assert report.curvature is None
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_density_mode_matern_slope(self, dim):
+        # in density mode R_0 is the correlation of chi alpha / (1 + chi alpha), whose
+        # singular part is (chi sigma_d / eta) psi; the report once gave psi's own 2/c
+        chi, c = 1.0, 0.5
+        model = resolve(ModelSpec("matern", {"nu": 0.5, "c": c}, dim, "density", chi=chi))
+        report = repulsiveness_report(model)
+        sigma = surface_measure(dim)
+        assert report.slope == pytest.approx(2 * chi * sigma / (c * model.eta), rel=1e-12)
+        assert report.curvature is None
+        if dim == 1:
+            # g_0(h) / h at h = 1e-3 from the cosine sum of 10^6 levels of the exact coefficients
+            beta = models.matern_d1_coefficients(c, 10**6).values
+            m = np.full(len(beta), 2.0)
+            m[0] = 1.0
+            lam_tilde = chi * sigma * beta / m
+            weights = m * lam_tilde / (1.0 + lam_tilde)
+            h = 1e-3
+            r0 = float(weights @ np.cos(h * np.arange(len(beta)))) / float(np.sum(weights))
+            assert report.slope == pytest.approx((1.0 - r0 * r0) / h, rel=0.01)
 
     def test_invariant_violation_raises(self):
         with pytest.raises(ValueError):

@@ -255,6 +255,30 @@ class TestNewtonMle:
         with pytest.raises(ValueError, match="zeta0"):
             newton_mle(pat, ScaledFitSpec(2, alpha), zeta0=zeta0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [(name, v) for name in ("dim", "chi", "zeta0") for v in (math.nan, math.inf, -math.inf, True, "1")]
+        + [("dim", 70.5), ("chi", "2"), ("zeta0", "0")]
+        + [("alpha", v) for v in ([0.5, math.nan], [math.inf], [True], ["1"], True, "1", 0.5)],
+        ids=repr,
+    )
+    def test_bad_value_names_its_field(self, name, value):
+        # the fit's numbers are read by the checker the spectra use, which names the field
+        fields = {"dim": 2, "alpha": [0.5, 0.3], "chi": 1.0}
+        pat = uniform_pattern(2, 2, 10)
+        with pytest.raises(ValueError, match=rf"^{name} must "):
+            if name == "zeta0":
+                newton_mle(pat, ScaledFitSpec(**fields), zeta0=value)
+            else:
+                loglik_score_info(pat, ScaledFitSpec(**dict(fields, **{name: value})))
+
+    def test_integral_floats_and_numpy_scalars_normalized(self):
+        spec = ScaledFitSpec(2.0, np.array([0.5, 0.3], dtype=np.float32), np.int64(2))
+        assert spec.dim == 2 and type(spec.dim) is int and type(spec.chi) is float
+        assert spec.alpha.dtype == np.float64
+        pat = uniform_pattern(2, 2, 10)
+        assert newton_mle(pat, spec, zeta0=np.float32(0.0)) == newton_mle(pat, spec, zeta0=0)
+
     def test_precondition_failure(self):
         alpha = np.array([0.5])  # only level 0: m_total = 1
         pat = uniform_pattern(2, 3, 14)

@@ -194,7 +194,7 @@ class TestRhoMax:
     def test_multiquadric_half(self):
         delta = 0.5
         beta = DSchoenbergSeq(2, (1 - delta) * delta ** np.arange(40))
-        eta_max = surface_measure(2) * rho_max(beta, nonnegative_psi=True).value
+        eta_max = surface_measure(2) * rho_max(beta).value
         assert eta_max == pytest.approx(1.0 / (1.0 - delta), rel=1e-12)
 
     def test_constant(self):
@@ -582,3 +582,56 @@ class TestSequenceInvariants:
     def test_truncation_policy_names_field(self, kwargs, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             TruncationPolicy(**kwargs)
+
+
+# each constructor with valid fields, keyed by the name its messages give each field
+VALID_FIELDS = {
+    TruncationPolicy: {"trunc.max_level": 64, "trunc.tail_tol": 1e-6},
+    SchoenbergSeq: {"values": [0.5, 0.5], "tail_bound": 0.0},
+    DSchoenbergSeq: {"dim": 2, "values": [0.5, 0.3], "tail_bound": 0.2},
+    MercerSpectrum: {"dim": 2, "kind": "kernel", "values": [0.5, 0.3], "tail_bound": 0.1},
+}
+NOT_FINITE = [math.nan, math.inf, -math.inf, True, "1"]
+BAD_COEFFICIENTS = [[math.nan], [0.5, math.nan], [math.inf], [0.5, -math.inf], [True, False], ["1"], True, "1", 0.5]
+
+
+def _build(cls, **changes):
+    fields = dict(VALID_FIELDS[cls], **changes)
+    return cls(*(fields[name] for name in VALID_FIELDS[cls]))
+
+
+class TestNumberChecks:
+    """Every number a constructor here takes is read by one checker, which names the field."""
+
+    @pytest.mark.parametrize(
+        "cls, name, value",
+        [(TruncationPolicy, "trunc.max_level", v) for v in [*NOT_FINITE, "x", 70.5]]
+        + [(TruncationPolicy, "trunc.tail_tol", v) for v in NOT_FINITE]
+        + [(cls, "dim", v) for cls in (DSchoenbergSeq, MercerSpectrum) for v in [*NOT_FINITE, 2.5]]
+        + [(cls, "values", v) for cls in (SchoenbergSeq, DSchoenbergSeq, MercerSpectrum) for v in BAD_COEFFICIENTS]
+        + [(cls, "tail_bound", v) for cls in (SchoenbergSeq, DSchoenbergSeq, MercerSpectrum) for v in [*NOT_FINITE, -0.1]],
+        ids=lambda v: v.__name__ if isinstance(v, type) else repr(v),
+    )
+    def test_bad_value_names_its_field(self, cls, name, value):
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} must "):
+            _build(cls, **{name: value})
+
+    def test_density_kernel_infinity_rejected(self):
+        with pytest.raises(ValueError, match="^values must be finite"):
+            MercerSpectrum(2, "density-kernel", [math.inf])
+
+    def test_integral_floats_and_numpy_scalars_normalized(self):
+        policy = TruncationPolicy(np.int64(64), np.float32(0.25))
+        assert (policy.max_level, policy.tail_tol) == (64, 0.25)
+        assert type(policy.max_level) is int and type(policy.tail_tol) is float
+        assert TruncationPolicy(64.0) == TruncationPolicy(64)
+        for seq in (
+            DSchoenbergSeq(2.0, np.array([0.5, 0.3], dtype=np.float32), np.float64(0.2)),
+            MercerSpectrum(np.int64(2), "kernel", [1, 0], np.int64(0)),
+        ):
+            assert seq.dim == 2 and type(seq.dim) is int
+            assert seq.values.dtype == np.float64 and type(seq.tail_bound) is float
+        assert type(SchoenbergSeq([1]).tail_bound) is float
+
+    def test_roundoff_below_zero_clamped(self):
+        assert SchoenbergSeq([1.0, -1e-13]).values.tolist() == [1.0, 0.0]
