@@ -15,7 +15,7 @@ the complex spherical harmonics are
           k in {-l, ..., l}.
 
 ``gegenbauer_rows`` yields the Gegenbauer levels one at a time, for the
-coefficient quadrature and the Gauss-Legendre nodes; radial series are summed
+coefficient quadrature; radial series are summed
 by ``spectra.eval_radial_series``, which rewrites a series on any S^d as a
 cosine series (DLMF 18.5.11), tabulates its Taylor terms on a uniform grid by
 one FFT each and reads each point off its nearest node as a Taylor polynomial

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .harmonics import multiplicities
-from .spectra import MercerSpectrum, _coefficients, _integer, _number, eval_radial_series, to_density_kernel
+from .spectra import MercerSpectrum, _coefficients, _integer, _number, eval_radial_series
 from .sphere import PointPattern, surface_measure
 
 # |score| below which Newton-Raphson stops, and the most steps it takes
@@ -45,10 +45,6 @@ class DensityContext:
     def __post_init__(self):
         if self.density.kind != "density-kernel":
             raise ValueError("DensityContext needs a density-kernel spectrum")
-
-    @classmethod
-    def from_kernel(cls, spec: MercerSpectrum) -> "DensityContext":
-        return cls(to_density_kernel(spec))
 
     @property
     def dim(self) -> int:
@@ -130,9 +126,6 @@ class ScaledFitSpec:
         if spec.kind != "correlation":
             raise ValueError("expected a correlation spectrum")
         return cls(spec.dim, spec.values, chi)
-
-    def with_chi(self, chi: float) -> "ScaledFitSpec":
-        return ScaledFitSpec(self.dim, self.alpha, chi)
 
 
 def _fit_terms(pattern: PointPattern, spec: ScaledFitSpec):

@@ -79,18 +79,6 @@ def multiquadric_psi(tau: float, delta: float):
     return psi
 
 
-def multiquadric_beta0_s2(tau: float, delta: float) -> float:
-    """Closed-form maximal 2-Schoenberg coefficient beta_(0,2)."""
-    _check_params("multiquadric", tau=tau, delta=delta)
-    if tau == 1.0:
-        return (1.0 - delta) ** 2 / (2.0 * delta) * math.log((1.0 + delta) / (1.0 - delta))
-    return (
-        (1.0 - delta) ** (2.0 * tau)
-        / (4.0 * delta * (1.0 - tau))
-        * ((1.0 + delta) ** (2.0 * (1.0 - tau)) - (1.0 - delta) ** (2.0 * (1.0 - tau)))
-    )
-
-
 def _approaches(ratios, limit: float) -> bool:
     """Whether successive term ratios move monotonically toward ``limit``
     (up to rounding), from one side.
@@ -437,10 +425,11 @@ def matern_d1_coefficients(c: float, n_max: int) -> DSchoenbergSeq:
     beta_(l,1) = (2/pi)(1 + (-1)^(l+1) e^(-pi/c)) c/(1 + c^2 l^2)."""
     _check_params("matern", c=c)
     e = math.exp(-math.pi / c)
+    one_minus_e = -math.expm1(-math.pi / c)  # 1.0 - e cancels for large c
     ells = np.arange(1, n_max + 1)
     values = np.empty(n_max + 1)
-    values[0] = c / math.pi * (1.0 - e)
-    values[1:] = (2.0 / math.pi) * (1.0 + (-1.0) ** (ells + 1) * e) * c / (1.0 + c * c * ells**2)
+    values[0] = c / math.pi * one_minus_e
+    values[1:] = (2.0 / math.pi) * np.where(ells % 2, 1.0 + e, one_minus_e) * c / (1.0 + c * c * ells**2)
     # 1/l^2 tail, which bounds nothing with no level past 0; 1 - sum rounds below 0 past c ~ 1e7
     tail = (2.0 / math.pi) * (1.0 + e) / (c * n_max) if n_max else math.inf
     return DSchoenbergSeq(1, values, tail_bound=max(0.0, min(tail, 1.0 - float(np.sum(values)))))
@@ -453,11 +442,13 @@ def matern_eta_max_d1(c: float) -> float:
 
 
 def matern_d_schoenberg(nu: float, c: float, dim: int, n_max: int = 256) -> DSchoenbergSeq:
-    """Matern d-Schoenberg coefficients; exact for nu=1/2 on S^1, else
-    by quadrature.  The series decays like l^(-2 nu - d), so the
-    recorded tail is not small for small nu.  That tail is 1 - sum(values)
-    (for nu = 1/2 on S^1, the smaller of it and the 1/l^2 majorant), which
-    rounds: an estimate of the mass past n_max, not a bound."""
+    """Matern d-Schoenberg coefficients; exact for nu=1/2 on S^1, else by
+    quadrature (``d_schoenberg_from_psi``), whose panels graded toward s = 0
+    resolve psi ~ 1 - C s^(2 nu) there.  The series decays like
+    l^(-2 nu - d), so the recorded tail is not small for small nu.  That
+    tail is 1 - sum(values) (for nu = 1/2 on S^1, the smaller of it and the
+    1/l^2 majorant), which rounds: an estimate of the mass past n_max, not
+    a bound."""
     if nu == 0.5 and dim == 1:
         return matern_d1_coefficients(c, n_max)
     return d_schoenberg_from_psi(matern_psi(nu, c), dim, n_max)

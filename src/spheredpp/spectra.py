@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, lgamma
@@ -203,11 +202,6 @@ class MercerSpectrum(_Sequence):
             raise ValueError("count variance is defined for kernel spectra")
         return float(np.sum(self.mults * self.values * (1.0 - self.values)))
 
-    def is_projection(self) -> bool:
-        return self.kind == "kernel" and bool(
-            np.all((self.values == 0.0) | (self.values == 1.0))
-        )
-
 
 def sequence_from_json(data) -> SchoenbergSeq | DSchoenbergSeq | MercerSpectrum:
     """Rebuild any serialized sequence kind from its dict or JSON text."""
@@ -284,41 +278,33 @@ def schoenberg_to_d(seq: SchoenbergSeq, dim: int, n_max: int) -> DSchoenbergSeq:
 # ---------------------------------------------------------------------------
 
 
-_GL_NEWTON_STEPS = 10
-_QUAD_TOL = 1e-11  # agreement of successive estimates, sup over levels
-_QUAD_START_NODES = 64
-_QUAD_MAX_NODES = 8192
+_QUAD_TOL = 1e-11  # agreement of the two rules' estimates, sup over levels
+_QUAD_ORDERS = (20, 28)  # Gauss-Legendre nodes per sub-panel of the two rules
 
 
-@lru_cache(maxsize=16)
-def _gl_nodes(n: int):
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+@lru_cache(maxsize=8)
+def _panel_rule(n_max: int, m: int):
+    """Composite Gauss-Legendre nodes (ascending) and weights on [0, pi].
 
-    Newton's method on P_n(cos t) in the angle t, from the guesses
-    t_k = pi (k - 1/4) / (n + 1/2) for the nodes with x >= 0, which are
-    then mirrored.  P_n and P_(n-1) come from ``gegenbauer_rows`` (lam =
-    1/2) and give dP_n/dt = n (x P_n - P_(n-1)) / sin t; each weight
-    2 / ((1 - x^2) P_n'(x)^2) = 2 / (dP_n/dt)^2 is taken at the converged
-    angle.  Nodes still moving after _GL_NEWTON_STEPS steps raise
-    QuadratureError.
+    The panel edges 0, pi 0.15^20, pi 0.15^19, ..., pi 0.15, pi are graded
+    geometrically toward s = 0: the hp rule for an endpoint algebraic
+    singularity (Schwab 1994), which resolves psi ~ 1 - C s^(2 nu) there.
+    Each panel is cut into equal sub-panels of width at most (m - 8) / n_max,
+    so that cos(n_max s) stays far inside what m nodes integrate, and each
+    sub-panel takes the m-point rule of ``numpy.polynomial.legendre``.
     """
-    t = math.pi * (np.arange(1, (n + 1) // 2 + 1) - 0.25) / (n + 0.5)
-    converged = False
-    for _ in range(_GL_NEWTON_STEPS + 1):
-        x = np.cos(t)
-        p_prev, p_n = deque(gegenbauer_rows(n, 0.5, t), maxlen=2)
-        dp_dt = n * (x * p_n - p_prev) / np.sin(t)
-        if converged:
-            break
-        step = p_n / dp_dt
-        t -= step
-        converged = bool(np.all(np.abs(step) < 1e-10))
-    else:
-        raise QuadratureError(f"Gauss-Legendre nodes for n={n} did not converge")
-    if n % 2:
-        x[-1] = 0.0  # the middle node, where cos t is only ~1e-17
-    w = 2.0 / dp_dt**2
-    return np.concatenate([-x[: n // 2], x[::-1]]), np.concatenate([w[: n // 2], w[::-1]])
+    from numpy.polynomial.legendre import leggauss
+
+    bounds = np.concatenate([[0.0], math.pi * 0.15 ** np.arange(20, -1, -1)])
+    counts = np.ceil(np.diff(bounds) * max(n_max, 1) / (m - 8)).astype(int)
+    starts = [np.linspace(a, b, k, endpoint=False) for a, b, k in zip(bounds, bounds[1:], counts)]
+    edges = np.concatenate([*starts, [math.pi]])
+    x, w = leggauss(m)
+    half = np.diff(edges)[:, None] / 2.0
+    rule = (edges[:-1, None] + half * (1.0 + x)).ravel(), (half * w).ravel()
+    for a in rule:
+        a.flags.writeable = False  # cached: every call shares these arrays
+    return rule
 
 
 def _inversion_prefactor(ell: int, dim: int) -> float:
@@ -341,13 +327,14 @@ def d_schoenberg_from_psi(psi, dim: int, n_max: int) -> DSchoenbergSeq:
     is produced and differ only in the prefactor.  The integrals run in
     the s variable, where every integrand is smooth (on x = cos s the d=1
     transform has an endpoint singularity and odd d picks up sqrt
-    factors).  psi must accept numpy arrays and be smooth on (0, pi): a
-    kink inside it slows convergence and may raise QuadratureError.
+    factors).  psi must accept numpy arrays and be smooth on (0, pi); near
+    s = 0 it may behave like 1 - C s^a, a > 0, which the graded panels
+    resolve.  A kink inside (0, pi) may raise QuadratureError.
 
-    Gauss-Legendre rules on [0, pi] of _QUAD_START_NODES, twice as many, and
-    so on up to _QUAD_MAX_NODES nodes are tried until two successive
-    estimates agree within _QUAD_TOL at every level; otherwise
-    QuadratureError is raised.  Coefficients below -1e-8 mean psi is not a
+    Two composite Gauss-Legendre rules (``_panel_rule`` at the orders
+    _QUAD_ORDERS) give two estimates.  The second is kept if they agree
+    within _QUAD_TOL at every level; otherwise QuadratureError is raised.
+    The same rules serve every d.  Coefficients below -1e-8 mean psi is not a
     valid correlation on S^d and raise; values in [-1e-8, 0) are treated as
     roundoff and clamped.  The recorded tail is 1 - sum(values), which
     rounds and carries the quadrature's own error: an estimate of the mass
@@ -360,20 +347,17 @@ def d_schoenberg_from_psi(psi, dim: int, n_max: int) -> DSchoenbergSeq:
     else:
         pref = np.array([_inversion_prefactor(ell, dim) for ell in range(n_max + 1)])
 
-    prev = None
-    n = _QUAD_START_NODES
-    while n <= _QUAD_MAX_NODES:
-        x, w = _gl_nodes(n)
-        s = 0.5 * math.pi * x + 0.5 * math.pi
-        ps = psi(s) * np.sin(s) ** (dim - 1) * (0.5 * math.pi * w)
-        coefs = pref * np.array([row @ ps for row in gegenbauer_rows(n_max, lam, s)])
-        if prev is not None and float(np.max(np.abs(coefs - prev))) < _QUAD_TOL:
-            break
-        prev = coefs
-        n *= 2
-    else:
+    estimates = []
+    for m in _QUAD_ORDERS:
+        s, w = _panel_rule(n_max, m)
+        ps = psi(s) * np.sin(s) ** (dim - 1) * w
+        estimates.append(pref * np.array([row @ ps for row in gegenbauer_rows(n_max, lam, s)]))
+    coarse, coefs = estimates
+    gap = float(np.max(np.abs(coefs - coarse)))
+    if not gap < _QUAD_TOL:
         raise QuadratureError(
-            f"coefficient quadrature did not converge within {_QUAD_MAX_NODES} nodes"
+            f"coefficient quadrature did not converge: the {_QUAD_ORDERS[0]}- and "
+            f"{_QUAD_ORDERS[1]}-node panel rules differ by {gap:.3e} > {_QUAD_TOL:g}"
         )
     if np.any(coefs < -1e-8):
         worst = float(coefs.min())

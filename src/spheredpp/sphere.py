@@ -14,7 +14,6 @@ Coordinate conventions:
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -71,20 +70,6 @@ class SpherePoint:
     @classmethod
     def s2(cls, colat: float, lon: float) -> "SpherePoint":
         return cls(2, (colat, lon))
-
-    @classmethod
-    def from_vector(cls, vec) -> "SpherePoint":
-        vec = np.asarray(vec, dtype=float)
-        norm = np.linalg.norm(vec)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"not a unit vector (norm {norm})")
-        if vec.shape == (2,):
-            return cls.circle(math.atan2(vec[1], vec[0]))
-        if vec.shape == (3,):
-            colat = math.acos(min(1.0, max(-1.0, float(vec[2]))))
-            lon = math.atan2(vec[1], vec[0])
-            return cls.s2(colat, lon)
-        raise ValueError(f"expected a 2- or 3-vector, got shape {vec.shape}")
 
     @property
     def theta(self) -> float:
@@ -245,11 +230,6 @@ class PointPattern:
         else:
             header, table = "theta,phi,x,y,z", np.hstack([self._angles, self.vectors])
         np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=header, comments="")
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        self._write_csv(buf)
-        return buf.getvalue()
 
     @classmethod
     def from_csv(cls, path_or_file) -> "PointPattern":

@@ -2,11 +2,13 @@
 
 scipy is loaded only by the Matern kernel with nu < 1/2 (``matern_psi``) and
 by the tests, and fractions only by the first compact-family coefficient
-call (``models._compact_form``).  Gauss-Legendre nodes are built only for the
-families whose coefficients come from quadrature (Matern, and the compactly
-supported ones with support past pi), so the benchmark's models leave the
-node cache empty.  numpy.fft is loaded only when a radial series is summed,
-which of the benchmark's commands only ``mle`` does.  The checks run in a
+call (``models._compact_form``).  The composite Gauss-Legendre rule
+(``spectra._panel_rule``), and numpy.polynomial with it, is built only for
+the families whose coefficients come from quadrature (Matern, and the
+compactly supported ones with support past pi), so the benchmark's models
+leave its cache empty and numpy.polynomial unloaded.  numpy.fft is loaded
+only when a radial series is summed, which of the benchmark's commands only
+``mle`` does.  The checks run in a
 fresh interpreter, because this test process has imported scipy already.
 The models and the fit pattern are the benchmark's own
 (``perfbench/inputs.py``, standard library and numpy only).
@@ -97,11 +99,12 @@ import json, sys
 
 import spheredpp, spheredpp.cli
 from spheredpp import load_model, resolve, substream
-from spheredpp.spectra import _gl_nodes
+from spheredpp.spectra import _panel_rule
 from spheredpp.sampler import draw_bernoulli_basis
 
 def watched_modules():
-    return sorted(m for m in sys.modules if m in ("scipy", "fractions") or m.startswith("scipy."))
+    return sorted(m for m in sys.modules
+                  if m in ("scipy", "fractions", "numpy.polynomial") or m.startswith("scipy."))
 
 loaded = {"import": watched_modules()}
 sys.path.insert(0, sys.argv[1])
@@ -125,7 +128,7 @@ for argv in commands:
     if spheredpp.cli.run(argv) != 0:
         sys.exit("command failed: " + " ".join(argv))
 loaded["commands"] = watched_modules()
-loaded["quadrature_node_sets"] = _gl_nodes.cache_info().currsize
+loaded["quadrature_node_sets"] = _panel_rule.cache_info().currsize
 print(json.dumps(loaded))
 """
 

@@ -25,7 +25,6 @@ from spheredpp.models import (
     matern_eta_max_d1,
     matern_psi,
     most_repulsive_spectrum,
-    multiquadric_beta0_s2,
     multiquadric_d_schoenberg,
     multiquadric_eta_max,
     multiquadric_psi,
@@ -40,6 +39,8 @@ from spheredpp.spectra import (
     eval_psi_series,
 )
 from spheredpp.sphere import surface_measure
+
+from oracles import multiquadric_beta0_s2
 
 
 @functools.lru_cache(maxsize=None)
@@ -328,7 +329,7 @@ class TestMostRepulsive:
     def test_projection_eta9_d2(self):
         spec = most_repulsive_spectrum(9.0, 2)
         np.testing.assert_allclose(spec.values, [1.0, 1.0, 1.0])
-        assert spec.is_projection()
+        assert spec.kind == "kernel" and set(spec.values.tolist()) <= {0.0, 1.0}
         assert spec.count_variance == 0.0
 
     def test_fractional_eta4_d1(self):
@@ -417,6 +418,37 @@ class TestMatern:
         e, a2 = math.exp(-math.pi / c), 1.0 / c**2
         assert beta.values[0] == pytest.approx((1.0 + e) / (2.0 * (1.0 + a2)), rel=1e-10)
         assert beta.values[1] == pytest.approx(3.0 * (1.0 - e) / (2.0 * (4.0 + a2)), rel=1e-10)
+
+    @pytest.mark.parametrize("nu", [0.05, 0.1, 0.125, 0.15, 0.2])
+    def test_small_nu_resolves_on_the_circle(self, nu):
+        # psi ~ 1 - C s^(2 nu) at 0 once defeated the quadrature; the reference
+        # integrates in t with s = pi t^(1 / (2 nu)), where the integrand is smooth at 0
+        from scipy.integrate import quad
+
+        spec = load_model({"family": "matern", "params": {"nu": nu, "c": 0.5}, "dim": 1, "mode": "kernel", "eta": 5})
+        beta = resolve(spec).psi_beta.values
+        assert len(beta) == 513
+        psi, p = matern_psi(nu, 0.5), 0.5 / nu
+        for ell in (0, 1, 7, 50, 200, 512):
+            weight = (1.0 if ell == 0 else 2.0) / math.pi
+
+            def integrand(t):
+                s = math.pi * t**p
+                return math.cos(ell * s) * float(psi(s)) * math.pi * p * t ** (p - 1.0)
+
+            reference = weight * quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=2000)[0]
+            assert abs(beta[ell] - reference) <= 1e-11
+
+    def test_nu_half_on_the_circle_at_large_c(self):
+        # 1 - e^(-pi/c) once cancelled: the mass exceeded 1 or the count fell short unseen
+        eta = 0.5
+        for k in range(18):
+            spec = load_model({"family": "matern", "params": {"nu": 0.5, "c": 10.0**k}, "dim": 1, "mode": "kernel", "eta": eta})
+            kernel = resolve(spec).kernel
+            shortfall = eta - kernel.eta
+            assert shortfall <= kernel.tail_bound + 1e-15 * eta, k
+            if k >= 4:
+                assert shortfall <= spec.trunc.tail_tol * eta, k
 
     def test_eta_max_equals_inverse_beta0(self):
         beta = matern_d1_coefficients(1.3, 10)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import roots_legendre
 
 from spheredpp import spectra
 from spheredpp.models import multiquadric_psi
@@ -18,7 +17,7 @@ from spheredpp.spectra import (
     QuadratureError,
     SchoenbergSeq,
     TruncationPolicy,
-    _gl_nodes,
+    _panel_rule,
     beta_from_kernel,
     correlation_mercer,
     d_schoenberg_from_psi,
@@ -122,39 +121,40 @@ class TestQuadratureInversion:
         assert float(np.sum(np.abs(out.values - exact))) <= 3e-12
 
 
-class TestGaussLegendreNodes:
-    @pytest.mark.parametrize("n", [1, 2, 5, 64, 65, 1024])
-    def test_matches_scipy(self, n):
-        x, w = _gl_nodes(n)
-        ref_x, ref_w = roots_legendre(n)
-        np.testing.assert_allclose(x, ref_x, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(w, ref_w, rtol=1e-8)
-        assert float(np.sum(w)) == pytest.approx(2.0, abs=1e-14)
+class TestPanelRule:
+    @pytest.mark.parametrize("n_max", [0, 1, 5, 64, 512])
+    @pytest.mark.parametrize("order", spectra._QUAD_ORDERS)
+    def test_integrates_cosines_exactly(self, n_max, order):
+        # int_0^pi cos(l s) ds is pi at l = 0 and 0 at every other level
+        s, w = _panel_rule(n_max, order)
+        assert np.all(np.diff(s) > 0) and 0.0 < s[0] and s[-1] < math.pi and np.all(w > 0)
+        ells = np.arange(n_max + 1)
+        exact = np.where(ells == 0, math.pi, 0.0)
+        np.testing.assert_allclose(np.cos(np.outer(ells, s)) @ w, exact, rtol=0, atol=2e-14)
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 64, 65, 1024])
-    def test_ascending_and_symmetric(self, n):
-        x, w = _gl_nodes(n)
-        assert len(x) == len(w) == n
-        assert np.all(np.diff(x) > 0)
-        assert np.all(x == -x[::-1]) and np.all(w == w[::-1])
-        assert np.all(w > 0)
+    @pytest.mark.parametrize("n_max", [0, 64, 512])
+    @pytest.mark.parametrize("order", spectra._QUAD_ORDERS)
+    def test_exact_for_polynomials(self, n_max, order):
+        # each sub-panel's m-point rule integrates degree <= 2m - 1 exactly
+        s, w = _panel_rule(n_max, order)
+        u = s / math.pi
+        for k in range(2 * order):
+            assert float(w @ u**k) == pytest.approx(math.pi / (k + 1), rel=1e-13)
 
-    @pytest.mark.parametrize("n", range(1, 21))
-    def test_exact_for_monomials(self, n):
-        # the n-point rule integrates x^k exactly for k <= 2n - 1
-        x, w = _gl_nodes(n)
-        for k in range(2 * n):
-            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-            assert float(np.dot(w, x**k)) == pytest.approx(exact, rel=1e-14, abs=1e-15)
+    @pytest.mark.parametrize("power", [0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.9])
+    @pytest.mark.parametrize("order", spectra._QUAD_ORDERS)
+    def test_resolves_endpoint_power(self, power, order):
+        # s^a with 0 < a < 1 is what 1 - psi looks like at s = 0 for Matern
+        # nu = a / 2; the graded panels integrate it to roundoff, which equal
+        # sub-panels alone do not.  n_max = 0 gives the fewest sub-panels.
+        s, w = _panel_rule(0, order)
+        exact = math.pi ** (power + 1) / (power + 1)
+        assert float(w @ s**power) == pytest.approx(exact, rel=1e-14)
 
-    def test_unconverged_newton_raises(self, monkeypatch):
-        monkeypatch.setattr(spectra, "_GL_NEWTON_STEPS", 1)
-        _gl_nodes.cache_clear()
-        try:
-            with pytest.raises(QuadratureError, match="n=64"):
-                _gl_nodes(64)
-        finally:
-            _gl_nodes.cache_clear()
+    def test_cached_arrays_are_read_only(self):
+        s, w = _panel_rule(5, spectra._QUAD_ORDERS[0])
+        assert _panel_rule(5, spectra._QUAD_ORDERS[0])[0] is s
+        assert not s.flags.writeable and not w.flags.writeable
 
 
 class TestMercerMaps:

@@ -71,6 +71,12 @@ def random_pattern(dim, n, seed):
     return PointPattern(dim, tuple(SpherePoint(dim, tuple(a)) for a in angles))
 
 
+def csv_text(pat):
+    buf = io.StringIO()
+    pat.to_csv(buf)
+    return buf.getvalue()
+
+
 class TestPairwiseGeodesic:
     def test_geodesic_distance_is_pairwise_entry(self):
         pat = random_pattern(2, 20, 1)
@@ -198,27 +204,6 @@ class TestEqualAreaProjection:
 
 
 class TestSpherePointCoordinates:
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_from_vector_round_trips(self, dim):
-        for angles in sample_uniform_angles(dim, 50, np.random.default_rng(21)):
-            point = SpherePoint(dim, tuple(angles))
-            back = SpherePoint.from_vector(point.vector)
-            assert back.dim == dim
-            np.testing.assert_allclose(back.vector, point.vector, atol=1e-15)
-
-    def test_from_vector_angles(self):
-        assert SpherePoint.from_vector([0.0, -1.0]).theta == pytest.approx(1.5 * math.pi)
-        south = SpherePoint.from_vector([0.0, 0.0, -1.0])
-        assert (south.colat, south.lon) == (math.pi, 0.0)
-        east = SpherePoint.from_vector([0.0, 1.0, 0.0])
-        assert east.colat == pytest.approx(math.pi / 2) and east.lon == pytest.approx(math.pi / 2)
-
-    def test_from_vector_rejects(self):
-        with pytest.raises(ValueError, match="not a unit vector"):
-            SpherePoint.from_vector([1.0, 1.0])
-        with pytest.raises(ValueError, match="2- or 3-vector"):
-            SpherePoint.from_vector([1.0, 0.0, 0.0, 0.0])
-
     def test_theta_is_the_circle_coordinate(self):
         assert SpherePoint.circle(-0.5).theta == pytest.approx(2 * math.pi - 0.5)
         with pytest.raises(ValueError, match="theta is the d=1 coordinate"):
@@ -239,19 +224,19 @@ class TestPointPattern:
         angles = sample_uniform_angles(2, 5, np.random.default_rng(8))
         pts = tuple(SpherePoint.s2(colat, lon) for colat, lon in angles)
         pat = PointPattern(2, pts)
-        buf = io.StringIO(pat.to_csv_text())
+        buf = io.StringIO(csv_text(pat))
         back = PointPattern.from_csv(buf)
         np.testing.assert_allclose(back.angles(), pat.angles(), atol=1e-15)
 
     def test_csv_roundtrip_s1(self):
         pat = PointPattern(1, (SpherePoint.circle(0.1), SpherePoint.circle(2.2)))
-        buf = io.StringIO(pat.to_csv_text())
+        buf = io.StringIO(csv_text(pat))
         back = PointPattern.from_csv(buf)
         np.testing.assert_allclose(back.angles(), pat.angles(), atol=1e-16)
 
     def test_csv_header_and_digits(self):
         pat = PointPattern(2, (SpherePoint.s2(1.0, 2.0),))
-        text = pat.to_csv_text()
+        text = csv_text(pat)
         assert text.splitlines()[0] == "theta,phi,x,y,z"
         # 17 significant digits survive the round trip exactly
         assert float(text.splitlines()[1].split(",")[0]) == 1.0
@@ -318,7 +303,7 @@ class TestPatternArrays:
             ",".join(f"{v:.17g}" for v in (*p.angles, *(p.vector if dim == 2 else ())))
             for p in pat
         ]
-        assert pat.to_csv_text() == "\n".join([header, *rows]) + "\n"
+        assert csv_text(pat) == "\n".join([header, *rows]) + "\n"
 
     @pytest.mark.parametrize("dim, n", [(1, 0), (1, 30), (2, 1), (2, 30)])
     def test_upper_distances_cached_and_exact(self, dim, n):
