@@ -849,7 +849,12 @@ def resolve(spec: ModelSpec) -> ResolvedModel:
     """
     sigma = surface_measure(spec.dim)
     if spec.family in PSI_FAMILIES:
-        psi, beta_d, exact = _psi_family_beta(spec)
+        try:
+            psi, beta_d, exact = _psi_family_beta(spec)
+        except ValueError as exc:  # a compact psi with c past pi may not be a correlation
+            if spec.family not in COMPACT_VARIANTS:
+                raise
+            raise ValueError(f"params.c = {spec.params['c']!r}: {exc}") from exc
         if spec.mode == "kernel":
             kernel = mercer_from_d(beta_d, spec.rho * sigma)
             density = to_density_kernel(kernel) if np.all(kernel.values < 1.0) else None

@@ -6,20 +6,19 @@ resulting projection DPP sequentially (Hough et al. 2006; Lavancier, Moller
 and Rubak 2015).  With v(x) the vector of selected eigenfunction values and
 h_0 = |v|^2, point j+1 has density h_j/(n-j), where h_j is the squared norm
 of v's component in the complement of the span absorbed so far.  Proposals
-come from q = h_0/n, a uniform mixture of the selected |Y|^2, and are
-accepted with probability h_j/h_0 <= 1, so about n H_n proposals are tested.
+come from a density proportional to a bound c >= h_0 >= h_j (on S^1,
+c = h_0, which is constant) and are accepted with probability h_j/c <= 1.
 
 A draw's cost follows what it uses.  ``_Complement`` keeps an orthonormal
 basis of that complement, so a chunk of B proposals costs B n (n - j) to
 project, and shrinks as the points arrive.  Each acceptance is one
 Householder reflector; a chunk's reflectors reach its proposals 16 at a
-time and update the basis at its end, in compact WY form.  On S^2 a mixture
-component has a uniform longitude and a colatitude theta with density
-2 pi |Pbar_lm(cos theta)|^2 sin theta, drawn by rejection from U(0, pi)
-against a sup certified once per basis and distinct (l, |m|)
-(``harmonics.colatitude_sup``): pi S_lm tries per draw, about 4 on average
-over the figure models' bases, where the addition-formula bound took 2l+1.
-The Y values, those densities and the sups come from one
+time and update the basis at its end, in compact WY form.  On S^2, h_0
+depends on the colatitude only, and ``_ColatitudeEnvelope`` certifies once
+per basis a piecewise-constant bound G on its colatitude density
+2 pi sin(theta) h_0; proposals draw theta from G and a uniform longitude, and
+about n H_n int G / n of them are tested, with int G / n at most 1.02 on the
+figure models' bases.  The Y values and the envelope come from one
 associated-Legendre evaluator, ``harmonics.norm_plm_rows``, and the
 longitude phases are exponentiated once per distinct order.
 """
@@ -31,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .harmonics import colatitude_sup, multiplicities, norm_plm_rows, sh_bound_sq
+from .harmonics import multiplicities, norm_plm_rows
 from .spectra import MercerSpectrum
 from .sphere import PointPattern, SpherePoint, sample_uniform_angles, surface_measure
 
@@ -45,8 +44,7 @@ MAX_REJECTS = 10_000_000
 
 class SamplingError(RuntimeError):
     """Rejection cap exceeded, a conditional density above h_0, a degenerate
-    accepted direction, or a colatitude density above its addition-formula
-    bound or its certified sup."""
+    accepted direction, or a colatitude density above its certified envelope."""
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,7 @@ class ProjectionBasis:
             freq = self.orders * self.levels
             return np.exp(1j * np.outer(theta, freq)) / math.sqrt(2.0 * math.pi)
         colat, lon = angles[:, 0], angles[:, 1]
-        vals = norm_plm_rows(self.levels, np.abs(self.orders), np.cos(colat)[None, :]).T  # (B, n)
+        vals = norm_plm_rows(self.levels, np.abs(self.orders), np.cos(colat)).T  # (B, n)
         vals *= np.where((self.orders < 0) & (self.orders % 2 != 0), -1.0, 1.0)
         distinct, column = np.unique(self.orders, return_inverse=True)  # at most 2L+1 orders
         out = np.exp(1j * np.outer(lon, distinct)).take(column, axis=1)
@@ -123,88 +121,61 @@ def draw_bernoulli_basis(spec: MercerSpectrum, rng: np.random.Generator) -> Proj
     return ProjectionBasis(spec.dim, all_levels[keep], all_orders[keep])
 
 
-def draw_cos_colatitude(ells, ms, rng: np.random.Generator) -> np.ndarray:
-    """One draw of x = cos(colatitude) per entry, with density 2 pi |Pbar_lm(x)|^2.
+class _ColatitudeEnvelope:
+    """A certified bound G(theta) on f(theta) = 2 pi sin(theta) h_0(theta), the
+    colatitude density of n q on S^2, constant on each of K = 8D cells.
 
-    The colatitude theta then has density g(theta) = 2 pi Pbar_lm(cos theta)^2
-    sin theta on [0, pi].  It is proposed from U(0, pi) and accepted with
-    probability g / S_lm, S_lm the certified sup of ``colatitude_sup``, so a
-    draw takes pi S_lm tries on average where the addition-formula bound took
-    2l+1: about 2 at m = 0, growing to about sqrt(pi l) at m = l (27 at
-    l = m = 200).  S_lm is computed once per distinct (l, m); a row with
-    l = 0 has density exactly 1/2 and draws x ~ U(-1, 1) with no rejection.
-    A density value above its addition-formula bound (2l+1)/2, or a g above
-    S_lm, raises ``SamplingError``.
+    h_0 = sum_i Pbar_(l_i)^|k_i|(cos theta)^2 depends on the colatitude only, and
+    f is a sine polynomial sum_(j <= D) b_j sin(j theta) of degree D = 2L + 1.
+    One ``norm_plm_rows`` call, which runs each selected order once, gives f at
+    the D + 2 nodes k pi / (D + 1); one real FFT of its odd extension gives the
+    b_j, so |f''| <= M = sum_j j^2 |b_j|, and an inverse FFT gives f at the cell
+    ends.  On a cell of width w = pi / K, f lies below its chord plus w^2 M / 8,
+    so G = max(f at the two ends) + w^2 M / 8, raised by 1e-12 relative for
+    rounding, bounds it.  int G / n, the proposals tested per proposal that q
+    itself would need, is 1.00-1.02 on the figure models' bases.
     """
-    ells = np.asarray(ells, dtype=int)
-    ms = np.asarray(ms, dtype=int)
-    return np.cos(_draw_colatitude(ells, ms, _colatitude_sups(ells, ms), rng)[0])
 
+    def __init__(self, basis: ProjectionBasis):
+        D = 2 * basis.max_level + 1
+        K = 8 * D
+        nodes = np.arange(D + 2) * (math.pi / (D + 1))
+        vals = norm_plm_rows(basis.levels, np.abs(basis.orders), np.cos(nodes))
+        f = 2.0 * math.pi * np.sin(nodes) * np.einsum("ij,ij->j", vals, vals)
+        # the rfft of f's odd 2(D + 1)-periodic extension is -i (D + 1) b_j
+        b = -np.fft.rfft(np.concatenate([f, -f[-2:0:-1]])).imag[1 : D + 1] / (D + 1)
+        spectrum = np.zeros(K + 1, dtype=complex)
+        spectrum[1 : D + 1] = -1j * K * b
+        ends = np.fft.irfft(spectrum, 2 * K)[: K + 1]  # f at theta = c pi / K
+        self.width = math.pi / K
+        slack = self.width**2 * float(np.arange(1, D + 1) ** 2 @ np.abs(b)) / 8.0
+        self.cells = (np.maximum(ends[:-1], ends[1:]) + slack) * (1.0 + 1e-12)
+        self.cdf = np.concatenate([[0.0], np.cumsum(self.cells * self.width)])
 
-def _colatitude_sups(ells: np.ndarray, ms: np.ndarray) -> np.ndarray:
-    """``colatitude_sup`` of each entry, computed once per distinct (l, m) with
-    l > 0 (entries with l = 0 need none and get 0)."""
-    sups = np.zeros(len(ells))
-    tilted = ells > 0
-    if tilted.any():
-        rows, row_of = np.unique(
-            np.column_stack([ells[tilted], ms[tilted]]), axis=0, return_inverse=True
-        )
-        sups[tilted] = colatitude_sup(rows[:, 0], rows[:, 1])[row_of.ravel()]
-    return sups
+    @property
+    def total(self) -> float:
+        """int_0^pi G, n times the mean tries per proposal drawn from q."""
+        return float(self.cdf[-1])
 
+    def propose(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        """``size`` angle rows with colatitude density G / int G and a uniform
+        longitude; 1 - u lies in (0, 1], so theta > 0 and sin theta > 0."""
+        edges = np.arange(len(self.cdf)) * self.width
+        theta = np.interp((1.0 - rng.random(size)) * self.total, self.cdf, edges)
+        return np.column_stack([theta, rng.uniform(0.0, 2.0 * math.pi, size=size)])
 
-def _draw_colatitude(ells, ms, sups, rng: np.random.Generator):
-    """(theta, tries): one colatitude per entry as in ``draw_cos_colatitude``,
-    against the sups given, and the tries used (1 for each l = 0 entry).
-
-    Each pending draw gets about 4 pi S_lm tries per round, four times its
-    expectation, and keeps its first success, so one round finishes about 98 %
-    of the draws.
-    """
-    theta = np.empty(len(ells))
-    flat = ells == 0
-    theta[flat] = np.arccos(rng.uniform(-1.0, 1.0, size=int(flat.sum())))
-    tries = int(flat.sum())
-    pending = np.flatnonzero(~flat)
-    while len(pending):
-        per = np.ceil(4.0 * math.pi * sups[pending]).astype(int)
-        owner = np.repeat(np.arange(len(pending)), per)
-        ell, m, sup = ells[pending][owner], ms[pending][owner], sups[pending][owner]
-        t = rng.uniform(0.0, math.pi, size=len(owner))
-        dens = 2.0 * math.pi * norm_plm_rows(ell, m, np.cos(t)[:, None])[:, 0] ** 2
-        bound = 2.0 * math.pi * sh_bound_sq(2, ell, m)
-        if np.any(dens > bound * (1.0 + 1e-9)):  # slack for rounding at the poles
-            worst = int(np.argmax(dens / bound))
+    def bound(self, theta: np.ndarray, h0: np.ndarray) -> np.ndarray:
+        """G(theta) / (2 pi sin theta) at each proposal, a bound on every h_j
+        there; a 2 pi sin(theta) h_0 above G raises ``SamplingError``."""
+        cap = self.cells[np.minimum((theta / self.width).astype(int), len(self.cells) - 1)]
+        weight = 2.0 * math.pi * np.sin(theta)
+        if np.any(weight * h0 > cap * (1.0 + 1e-9)):
+            worst = int(np.argmax(weight * h0 / cap))
             raise SamplingError(
-                f"colatitude density {dens[worst]:.17g} exceeds its bound "
-                f"{bound[worst]:.17g} at (l, m) = ({ell[worst]}, {m[worst]})"
+                f"colatitude density {weight[worst] * h0[worst]:.17g} at theta = {theta[worst]!r} "
+                f"exceeds its certified envelope {cap[worst]:.17g}"
             )
-        g = dens * np.sin(t)
-        if np.any(g > sup * (1.0 + 1e-9)):
-            worst = int(np.argmax(g / sup))
-            raise SamplingError(
-                f"colatitude density {g[worst]:.17g} in theta exceeds its certified sup "
-                f"{sup[worst]:.17g} at (l, m) = ({ell[worst]}, {m[worst]})"
-            )
-        hits = np.flatnonzero(rng.random(len(owner)) * sup < g)
-        done, first = np.unique(owner[hits], return_index=True)
-        theta[pending[done]] = t[hits[first]]
-        offset = np.cumsum(per) - per  # first try of each pending draw
-        tries += int(per.sum() - per[done].sum() + np.sum(hits[first] - offset[done] + 1))
-        pending = np.delete(pending, done)
-    return theta, tries
-
-
-def _propose(basis: ProjectionBasis, size: int, rng: np.random.Generator, sups) -> np.ndarray:
-    """``size`` angle rows drawn from q = h_0/n; ``sups`` holds each selected
-    function's colatitude sup on S^2."""
-    if basis.dim == 1:
-        return sample_uniform_angles(1, size, rng)  # every |Y|^2 is 1/(2 pi)
-    pick = rng.integers(len(basis), size=size)
-    lon = rng.uniform(0.0, 2.0 * math.pi, size=size)
-    theta, _ = _draw_colatitude(basis.levels[pick], np.abs(basis.orders[pick]), sups[pick], rng)
-    return np.column_stack([theta, lon])
+        return cap / weight
 
 
 @dataclass(frozen=True)
@@ -228,12 +199,15 @@ class SampleResult:
 def sample_projection(basis: ProjectionBasis, rng: np.random.Generator) -> SampleResult:
     """Draw the projection DPP attached to the selected eigenfunctions.
 
-    Produces exactly len(basis) points.  Proposals from q = h_0/n do not
-    depend on the step, so they are drawn and evaluated in chunks and
-    consumed in order, WINDOW at a time: proposal x is accepted for point
-    j+1 when u h_0(x) < h_j(x), with h_j(x) = |z(x)|^2 for the coordinates z
-    of v(x) in the complement of the accepted span (``_Complement``).  More than
-    MAX_REJECTS rejections for one point, an h above h_0 (an acceptance
+    Produces exactly len(basis) points.  Proposals do not depend on the
+    step, so they are drawn and evaluated in chunks and consumed in order,
+    WINDOW at a time: proposal x is accepted for point j+1 when
+    u c(x) < h_j(x), with h_j(x) = |z(x)|^2 for the coordinates z of v(x) in
+    the complement of the accepted span (``_Complement``).  On S^1 they come
+    from q = h_0/n, the uniform law, and c = h_0; on S^2 from the colatitude
+    envelope G of ``_ColatitudeEnvelope`` with a uniform longitude, and
+    c = G(theta) / (2 pi sin theta) >= h_0.  More than MAX_REJECTS rejections
+    for one point, an h_0 above its envelope, an h above h_0 (an acceptance
     probability above 1) or an accepted direction of norm 0 raise
     ``SamplingError``.
     """
@@ -241,16 +215,20 @@ def sample_projection(basis: ProjectionBasis, rng: np.random.Generator) -> Sampl
     if n == 0:
         return SampleResult(PointPattern(basis.dim, ()), 0, 0, float("nan"), 0)
     chunk = min(CHUNK, 2 * n)  # the last point alone takes about n tries
-    sups = _colatitude_sups(basis.levels, np.abs(basis.orders)) if basis.dim == 2 else None
+    envelope = _ColatitudeEnvelope(basis) if basis.dim == 2 else None
     comp = _Complement(n)
     points = np.empty((n, basis.dim))
     proposals = 0
     rejects = 0
     while comp.j < n:
-        angles = _propose(basis, chunk, rng, sups)
+        if envelope is None:
+            angles = sample_uniform_angles(1, chunk, rng)  # every |Y|^2 is 1/(2 pi)
+        else:
+            angles = envelope.propose(chunk, rng)
         uniforms = rng.random(chunk)
         vmat = basis.eval_matrix(angles)  # (B, n)
         h0 = _sq_norms(vmat)
+        cap = h0 if envelope is None else envelope.bound(angles[:, 0], h0)
         z = comp.coordinates(vmat)
         del vmat
         h = np.empty(chunk)
@@ -265,7 +243,7 @@ def sample_projection(basis: ProjectionBasis, rng: np.random.Generator) -> Sampl
                     f"conditional density {h[worst]:.17g} exceeds h_0 = {h0[worst]:.17g}: "
                     "acceptance probability above 1"
                 )
-            hits = np.flatnonzero(uniforms[start:stop] * h0[start:stop] < h[start:stop])
+            hits = np.flatnonzero(uniforms[start:stop] * cap[start:stop] < h[start:stop])
             tested = int(hits[0]) + 1 if len(hits) else stop - start
             proposals += tested
             rejects += tested - (1 if len(hits) else 0)

@@ -13,3 +13,18 @@ def multiquadric_beta0_s2(tau: float, delta: float) -> float:
         / (4.0 * delta * (1.0 - tau))
         * ((1.0 + delta) ** (2.0 * (1.0 - tau)) - (1.0 - delta) ** (2.0 * (1.0 - tau)))
     )
+
+
+def sh_bound_sq(dim: int, ell: int, k: int) -> float:
+    """Provable upper bound on |Y_(l,k,d)|^2, uniform over the sphere.
+
+    d=1: |Y|^2 is the constant 1/(2 pi).  d=2: each summand of the
+    addition formula is at most the whole sum, so
+    |Y_(l,k,2)|^2 <= (2l+1)/(4 pi), with equality at the poles for k=0.
+    (Equivalently sup |P_l^(k)|^2 <= (l+|k|)!/(l-|k|)!.)
+    """
+    if dim == 1:
+        return 1.0 / (2.0 * math.pi)
+    if dim == 2:
+        return (2.0 * ell + 1.0) / (4.0 * math.pi)
+    raise ValueError("bounds available for d in {1, 2} only")

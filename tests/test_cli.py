@@ -335,6 +335,17 @@ class TestModelValidation:
         assert run(["coeffs", "--model", str(model), "--out", str(tmp_path / "c.csv")]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("family", ["c2_wendland", "c4_wendland"])
+    @pytest.mark.parametrize("c", [3.25, 3.5])
+    def test_wendland_past_pi_names_c(self, tmp_path, capsys, family, c):
+        # psi is not a correlation on S^1 there: these once exited 1 with
+        # "total mass exceeds 1" or "negative d-Schoenberg coefficient" alone
+        model, out = tmp_path / "m.json", tmp_path / "c.csv"
+        model.write_text(json.dumps({"family": family, "params": {"c": c}, "dim": 1, "rho": 0.1}))
+        assert run(["coeffs", "--model", str(model), "--out", str(out)]) == 1
+        assert f"params.c = {c!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_density_tail_past_max_level_exits_1(self, tmp_path, capsys):
         # once cut at 58 levels with every lambda = 1, declared no tail and exited 0
         model = tmp_path / "m.json"

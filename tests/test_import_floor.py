@@ -7,8 +7,9 @@ call (``models._compact_form``).  The composite Gauss-Legendre rule
 the families whose coefficients come from quadrature (Matern, and the
 compactly supported ones with support past pi), so the benchmark's models
 leave its cache empty and numpy.polynomial unloaded.  numpy.fft is loaded
-only when a radial series is summed, which of the benchmark's commands only
-``mle`` does.  The checks run in a
+only when a radial series is summed or an S^2 draw builds its colatitude
+envelope, which of the benchmark's commands ``mle`` and ``simulate`` do.  The
+checks run in a
 fresh interpreter, because this test process has imported scipy already.
 The models and the fit pattern are the benchmark's own
 (``perfbench/inputs.py``, standard library and numpy only).
@@ -141,8 +142,8 @@ def test_command_paths_load_no_scipy(tmp_path):
 
 
 def test_cli_import_leaves_numpy_fft_unloaded():
-    # of the benchmark's commands only mle sums a radial series, so the others
-    # must not pay for numpy.fft; the evaluator loads it on its first call
+    # coeffs and validate use no FFT, so they must not pay for numpy.fft; the
+    # radial-series evaluator (and the S^2 sampler) loads it on its first call
     script = (
         "import sys, spheredpp.cli\n"
         "before = 'numpy.fft' in sys.modules\n"

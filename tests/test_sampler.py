@@ -180,18 +180,19 @@ class TestProjectionSampling:
         with pytest.raises(SamplingError, match="at point"):
             sample_projection(basis, rng(31))
 
-    def test_colatitude_density_above_bound_raises(self, monkeypatch):
+    def test_colatitude_above_its_certified_envelope_raises(self, monkeypatch):
         import spheredpp.sampler as sampler_module
-        from spheredpp.sampler import SamplingError, draw_cos_colatitude
+        from spheredpp.sampler import SamplingError
 
-        # an evaluator that breaks the addition-formula bound (2l+1)/(4 pi)
-        monkeypatch.setattr(
-            sampler_module,
-            "norm_plm_rows",
-            lambda ell, m, x: np.sqrt((2 * ell + 1) / (2 * math.pi))[:, None] + 0 * x,
-        )
-        with pytest.raises(SamplingError, match="exceeds its bound"):
-            draw_cos_colatitude([3], [1], rng(0))
+        class Halved(sampler_module._ColatitudeEnvelope):
+            def __init__(self, basis):
+                super().__init__(basis)
+                self.cells = 0.5 * self.cells
+
+        monkeypatch.setattr(sampler_module, "_ColatitudeEnvelope", Halved)
+        basis = ProjectionBasis(2, np.full(1, 7), np.full(1, 2))
+        with pytest.raises(SamplingError, match="certified envelope"):
+            sample_projection(basis, rng(9))
 
 
 class TestModelSampling:
@@ -392,14 +393,27 @@ class TestStageTwoExactness:
             assert abs(mean - exact) <= 4 * se, (r, mean, exact, se)
 
 
+def _one_point_draws(ell, m, draws, g):
+    """cos(colatitude) of ``draws`` independent one-point draws of the basis
+    {Y_lm}: envelope proposals accepted as for the first point, u G < 2 pi sin h_0,
+    in one batch."""
+    from spheredpp.sampler import _ColatitudeEnvelope
+
+    basis = ProjectionBasis(2, np.array([ell]), np.array([m]))
+    env = _ColatitudeEnvelope(basis)
+    angles = env.propose(2 * draws, g)  # about 1 % are rejected
+    h0 = np.abs(basis.eval_matrix(angles)[:, 0]) ** 2
+    accepted = g.random(len(angles)) * env.bound(angles[:, 0], h0) < h0
+    assert accepted.sum() >= draws
+    return np.cos(angles[accepted, 0][:draws])
+
+
 @pytest.mark.parametrize("ell, m, draws", [(0, 0, 2000), (5, 0, 2000), (12, 12, 2000), (40, 7, 2000), (200, 3, 400)])
 def test_cos_colatitude_draw_ks(ell, m, draws):
     from scipy.special import roots_legendre, sph_harm_y
     from scipy.stats import kstest
 
-    from spheredpp.sampler import draw_cos_colatitude
-
-    x = draw_cos_colatitude(np.full(draws, ell), np.full(draws, m), rng(ell + 1000 * m))
+    x = _one_point_draws(ell, m, draws, rng(ell + 1000 * m))
     u, wu = roots_legendre(ell + 1)  # |Pbar_lm|^2 has degree 2l
 
     def cdf(z):
@@ -569,60 +583,65 @@ def test_projection_memory_follows_the_basis():
     assert peak <= 2.3 * n * n * 16, (peak, n)
 
 
-def test_colatitude_sup_is_certified():
-    # the sup of g = 2 pi Pbar_lm(cos theta)^2 sin theta is at least its max on a
-    # theta grid 16 times denser than any grid colatitude_sup uses here, and
-    # within its Ehlich-Zeller factor 1/cos(pi/8) of that max (up to 0.1 % for
-    # the dense grid's own miss at level 200)
-    from spheredpp.harmonics import colatitude_sup, norm_plm_rows
+def _named_bases():
+    """One basis of each figure model of the benchmark (mq1-400, mq10-400, mr-400,
+    sp-8-1-2), drawn at seed 1."""
+    from spheredpp.models import spectral_model_spectrum
 
-    rows = [(ell, m) for ell in range(61) for m in range(ell + 1)] + [(200, 3), (200, 200)]
-    ells = np.array([r[0] for r in rows])
-    ms = np.array([r[1] for r in rows])
-    sup = colatitude_sup(ells, ms)
-    theta = np.linspace(0.0, math.pi, 16 * 4 * 401 + 1)
-    weight = 2 * math.pi * np.sin(theta)
-    for m in np.unique(ms):  # one recurrence per order
-        sel = np.flatnonzero(ms == m)
-        dense = np.max(norm_plm_rows(ells[sel], ms[sel], np.cos(theta)[None, :]) ** 2 * weight, axis=1)
-        assert np.all(sup[sel] >= dense), m
-        assert np.all(sup[sel] <= dense / math.cos(math.pi / 8) * 1.001), m
+    mq1 = resolve(
+        ModelSpec(
+            "multiquadric", {"tau": 1.0, "delta": 0.9654362879120054}, 2, "kernel",
+            rho=400.0 / (4 * math.pi),
+        )
+    )
+    spectra = [mq1.kernel, most_repulsive_spectrum(400.0, 2), spectral_model_spectrum(8.0, 1.0, 2.0, 2)]
+    return [_mq10_400_basis(1)] + [draw_bernoulli_basis(spec, rng(1)) for spec in spectra]
 
 
-def test_colatitude_tries_per_draw():
-    # a figure-scale basis (mq10-400): pi S_lm tries per draw on average, where
-    # the addition-formula bound took 2l+1 (37 per draw here)
-    from spheredpp.sampler import _colatitude_sups, _draw_colatitude
+def _colatitude_density(basis, theta):
+    """f = 2 pi sin(theta) h_0(theta) straight from the Legendre rows, in blocks."""
+    from spheredpp.harmonics import norm_plm_rows
 
-    basis = _mq10_400_basis(1)
-    g = rng(2)
-    pick = g.integers(len(basis), size=4000)
-    ells, ms = basis.levels[pick], np.abs(basis.orders[pick])
-    _, tries = _draw_colatitude(ells, ms, _colatitude_sups(ells, ms), g)
-    assert np.mean(2 * ells + 1) > 30
-    assert tries / len(pick) <= 6
+    f = np.empty(len(theta))
+    for b in range(0, len(theta), 4096):
+        t = theta[b : b + 4096]
+        vals = norm_plm_rows(basis.levels, np.abs(basis.orders), np.cos(t))
+        f[b : b + 4096] = 2 * math.pi * np.sin(t) * np.sum(vals * vals, axis=0)
+    return f
 
 
-def test_level_zero_draws_without_rejection(monkeypatch):
-    from scipy.stats import kstest
-
-    import spheredpp.sampler as sampler_module
-    from spheredpp.sampler import draw_cos_colatitude
-
-    def no_evaluation(*args):
-        raise AssertionError("a level-0 draw evaluated a Legendre function")
-
-    monkeypatch.setattr(sampler_module, "norm_plm_rows", no_evaluation)
-    monkeypatch.setattr(sampler_module, "colatitude_sup", no_evaluation)
-    x = draw_cos_colatitude(np.zeros(2000, dtype=int), np.zeros(2000, dtype=int), rng(8))
-    assert kstest(x, "uniform", args=(-1, 2)).pvalue > 1e-3
+def _envelope_at(env, theta):
+    return env.cells[np.minimum((theta / env.width).astype(int), len(env.cells) - 1)]
 
 
-def test_colatitude_above_its_certified_sup_raises(monkeypatch):
-    import spheredpp.sampler as sampler_module
-    from spheredpp.harmonics import colatitude_sup
-    from spheredpp.sampler import SamplingError, draw_cos_colatitude
+def test_colatitude_envelope_is_certified():
+    # G >= f = 2 pi sin(theta) h_0 on a theta grid 16 times denser than the
+    # envelope's K cells: for the one-function basis of every row of levels
+    # 0..60 and of (200, 3) and (200, 200), and for the figure models' bases
+    from spheredpp.harmonics import norm_plm_rows
+    from spheredpp.sampler import _ColatitudeEnvelope
 
-    monkeypatch.setattr(sampler_module, "colatitude_sup", lambda ells, ms: 0.5 * colatitude_sup(ells, ms))
-    with pytest.raises(SamplingError, match="certified sup"):
-        draw_cos_colatitude(np.full(200, 7), np.full(200, 2), rng(9))
+    groups = {60: [(ell, m) for ell in range(61) for m in range(ell + 1)], 200: [(200, 3), (200, 200)]}
+    for top, rows in groups.items():
+        theta = np.linspace(0.0, math.pi, 16 * 8 * (2 * top + 1) + 1)  # 16 times the largest K
+        for m in sorted({k for _, k in rows}):  # one recurrence per order
+            ells = np.array([ell for ell, k in rows if k == m])
+            vals = norm_plm_rows(ells, np.full(len(ells), m), np.cos(theta))
+            for ell, f in zip(ells, 2 * math.pi * np.sin(theta) * vals**2):
+                env = _ColatitudeEnvelope(ProjectionBasis(2, np.array([ell]), np.array([m])))
+                assert np.all(_envelope_at(env, theta) >= f), (ell, m)
+    for basis in _named_bases():
+        env = _ColatitudeEnvelope(basis)
+        theta = np.linspace(0.0, math.pi, 16 * len(env.cells) + 1)
+        assert np.all(_envelope_at(env, theta) >= _colatitude_density(basis, theta)), basis.max_level
+
+
+def test_envelope_mass_per_point():
+    # int G / n is the tries per proposal that q = h_0 / n itself would take:
+    # at most 1.02 on the figure models' bases, where the per-function draws
+    # took about 4 colatitude tries per proposal
+    from spheredpp.sampler import _ColatitudeEnvelope
+
+    for basis in _named_bases():
+        env = _ColatitudeEnvelope(basis)
+        assert 1.0 <= env.total / len(basis) <= 1.02, (basis.max_level, env.total / len(basis))
