@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -838,6 +839,11 @@ def _psi_family_beta(spec: ModelSpec):
     return compact_support_psi(spec.family, **p), compact_support_coeffs(spec.family, **p, n_max=n_max), None
 
 
+_RESOLVED_MAX = 32  # resolves the memo keeps; the oldest is evicted first
+_resolved: dict = {}  # spec fields -> ResolvedModel, oldest first
+_resolved_lock = threading.Lock()
+
+
 def resolve(spec: ModelSpec) -> ResolvedModel:
     """Turn a model description into kernel/density spectra.
 
@@ -846,7 +852,27 @@ def resolve(spec: ModelSpec) -> ResolvedModel:
     exist, and the kernel inherits the density tail bound (lambda <= lambda~).
     There R_0, the correlation of chi alpha / (1 + chi alpha), has no closed form;
     its singular part (chi sigma_d / eta) psi scales the slope of 1 - psi^2 at 0.
+
+    Equal specs share one resolve.  ``ModelSpec`` has checked every field
+    (tau = 10 and 10.0 are equal), and the result depends on nothing else, so
+    the last _RESOLVED_MAX successful resolves are kept by their fields; a
+    failing spec is computed, and raises, on every call.  The returned model
+    carries the caller's ``spec`` and shares its spectra, whose ``values``
+    arrays are read-only, with every equal spec's.
     """
+    key = (spec.family, tuple(sorted(spec.params.items())), spec.dim, spec.mode, spec.rho, spec.chi, spec.trunc)
+    model = _resolved.get(key)
+    if model is None:
+        model = _resolve(spec)
+        with _resolved_lock:
+            _resolved[key] = model
+            while len(_resolved) > _RESOLVED_MAX:
+                del _resolved[next(iter(_resolved))]
+    return model if model.spec is spec else replace(model, spec=spec)
+
+
+def _resolve(spec: ModelSpec) -> ResolvedModel:
+    """``resolve`` without the memo."""
     sigma = surface_measure(spec.dim)
     if spec.family in PSI_FAMILIES:
         try:

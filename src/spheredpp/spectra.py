@@ -98,9 +98,15 @@ class TruncationPolicy:
         object.__setattr__(self, "tail_tol", _number(self.tail_tol, "trunc.tail_tol", "(0, 1)"))
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 class _Sequence:
     """What the sequence kinds share.  Building one reads ``dim``, where the kind
-    has one, as an integer >= 1, ``values`` through ``_coefficients`` and
+    has one, as an integer >= 1, ``values`` through ``_coefficients`` into a new
+    read-only array (equal model specs share one resolve, and so its arrays) and
     ``tail_bound`` as a finite number >= 0."""
 
     def __post_init__(self):
@@ -109,7 +115,7 @@ class _Sequence:
             if dim < 1:
                 raise ValueError("dimension must be >= 1")
             object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "values", _coefficients(self.values, "values"))
+        object.__setattr__(self, "values", _read_only(_coefficients(self.values, "values")))
         object.__setattr__(self, "tail_bound", _number(self.tail_bound, "tail_bound", "[0, inf)"))
 
     def __len__(self):
@@ -184,7 +190,7 @@ class MercerSpectrum(_Sequence):
                 raise ExistenceError(
                     f"kernel eigenvalues must lie in [0, 1]; max is {self.values.max()}"
                 )
-            object.__setattr__(self, "values", np.minimum(self.values, 1.0))
+            object.__setattr__(self, "values", _read_only(np.minimum(self.values, 1.0)))
 
     @property
     def mults(self) -> np.ndarray:
@@ -301,10 +307,8 @@ def _panel_rule(n_max: int, m: int):
     edges = np.concatenate([*starts, [math.pi]])
     x, w = leggauss(m)
     half = np.diff(edges)[:, None] / 2.0
-    rule = (edges[:-1, None] + half * (1.0 + x)).ravel(), (half * w).ravel()
-    for a in rule:
-        a.flags.writeable = False  # cached: every call shares these arrays
-    return rule
+    # cached: every call shares these arrays
+    return _read_only((edges[:-1, None] + half * (1.0 + x)).ravel()), _read_only((half * w).ravel())
 
 
 def _inversion_prefactor(ell: int, dim: int) -> float:
@@ -560,6 +564,9 @@ def _cosine_series(a: np.ndarray, flat: np.ndarray) -> np.ndarray:
     each derivative f^(p).  With M from ``_grid_size`` and h = pi / M, row p
     of a (P, M + 1) table holds h^p / p! f^(p)(k h) at the nodes k = 0 .. M,
     each row one real FFT of length 2M whose spectrum is a_j (i j h)^p / p!.
+    The P transforms write into one reused buffer of length 2M, and each row
+    copies its first M + 1 values (one (P, 2M) transform would hold the whole
+    doubled table at once).
     f is even and 2 pi-periodic: each s outside [0, pi] is taken as
     |s - n 2 pi| for the nearest integer n.  Each point then takes its
     nearest node k and its offset u = (s - k h) / h, |u| <= 1/2, and is read
@@ -580,11 +587,12 @@ def _cosine_series(a: np.ndarray, flat: np.ndarray) -> np.ndarray:
     spec = np.zeros(grid + 1, dtype=complex)
     spec.real[1 : len(a)] = a[1:] * grid  # irfft divides by 2 grid; a cosine is two exponentials
     rotate = 1j * (math.pi / grid) * np.arange(1, len(a))
+    row = np.empty(2 * grid)
     for p in range(_ORDER):
         if p:
             spec[1 : len(a)] *= rotate / p
-        table[p] = np.fft.irfft(spec, 2 * grid)[: grid + 1]
-    del spec
+        table[p] = np.fft.irfft(spec, 2 * grid, out=row)[: grid + 1]
+    del spec, row
     scale = grid / math.pi
     pi_hi, pi_lo = _split_pi(53 - (grid - 1).bit_length())  # node * step_hi is exact, node <= grid
     step_hi, step_lo = pi_hi / grid, pi_lo / grid

@@ -224,7 +224,9 @@ class TestReport:
 
     def test_report_propagates_unexpected_refine_errors(self, monkeypatch):
         # only truncation and quadrature failures of the refining resolve
-        # mean "curvature unavailable"; any other error is a fault to surface
+        # mean "curvature unavailable"; any other error is a fault to surface.
+        # An empty resolve memo, so that an earlier test's refine is not reused
+        monkeypatch.setattr(models, "_resolved", {})
         spec = ModelSpec("multiquadric", {"tau": 0.5, "delta": 0.5}, 2, "density", chi=2.0)
         model = resolve(spec)
 

@@ -746,6 +746,122 @@ class TestModelSpecScale:
         assert type(spec.dim) is int and type(spec.rho) is float
 
 
+class TestResolveMemo:
+    """Equal specs share one resolve; its spectra are read-only."""
+
+    @pytest.fixture(autouse=True)
+    def memo(self, monkeypatch):
+        table = {}
+        monkeypatch.setattr(models, "_resolved", table)
+        return table
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        calls = []
+        function = getattr(models, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(args or kwargs)
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(models, name, wrapper)
+        return calls
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ({"tau": 10.0, "delta": 0.7}, {"delta": 0.7, "tau": 10.0}),  # another order
+            ({"tau": 10, "delta": 0.7}, {"tau": 10.0, "delta": 0.7}),  # tau an int, then a float
+        ],
+    )
+    @pytest.mark.parametrize("scale", [{"rho": 5.0}, {"mode": "density", "chi": 5.0}])
+    def test_equal_specs_share_the_spectra(self, monkeypatch, first, second, scale):
+        calls = self.counted(monkeypatch, "multiquadric_d_schoenberg")
+        spec_a, spec_b = ModelSpec("multiquadric", first, 2, **scale), ModelSpec("multiquadric", second, 2, **scale)
+        a, b = resolve(spec_a), resolve(spec_b)
+        assert a.spec is spec_a and b.spec is spec_b
+        assert b.kernel is a.kernel and b.correlation_beta is a.correlation_beta
+        assert b.psi_beta is a.psi_beta and b.density is a.density
+        assert resolve(spec_a).spec is spec_a
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "base, other",
+        [
+            ({"mode": "density", "chi": 5.0}, {"mode": "density", "chi": 5.5}),
+            ({"rho": 5.0}, {"rho": 5.5}),
+            ({"rho": 5.0}, {"mode": "density", "chi": 5.0}),  # the mode, with its scale
+            ({"rho": 5.0}, {"rho": 5.0, "trunc": TruncationPolicy(tail_tol=1e-8)}),
+            ({"rho": 5.0}, {"rho": 5.0, "trunc": TruncationPolicy(max_level=2048)}),
+        ],
+    )
+    def test_specs_differing_in_one_field_do_not_share(self, base, other):
+        a = resolve(ModelSpec("multiquadric", {"tau": 10.0, "delta": 0.7}, 2, **base))
+        b = resolve(ModelSpec("multiquadric", {"tau": 10.0, "delta": 0.7}, 2, **other))
+        assert b.kernel is not a.kernel
+        assert b.correlation_beta is not a.correlation_beta
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ModelSpec("multiquadric", MQ10, 2, rho=400.0 / surface_measure(2)),  # lambda_0 = 1, clamped
+            ModelSpec("multiquadric", MQ10, 2, "density", chi=5.0),
+            ModelSpec("most_repulsive", {"eta": 9.0}, 2),
+            ModelSpec("spectral", {"alpha": 8.0, "beta": 1.0, "kappa": 2.0}, 2),
+            ModelSpec("circular_matern", {"sigma": 1.0, "nu": 0.5, "alpha": 1.0}, 1),
+        ],
+    )
+    def test_resolved_values_are_read_only(self, spec):
+        model = resolve(spec)
+        sequences = [model.kernel, model.correlation_beta, model.psi_beta, model.density]
+        for seq in filter(None, sequences):
+            with pytest.raises(ValueError, match="read-only"):
+                seq.values[0] = 0.5
+
+    def test_a_failing_spec_raises_on_every_call(self, monkeypatch, memo):
+        calls = self.counted(monkeypatch, "multiquadric_d_schoenberg")
+        spec = ModelSpec("multiquadric", {"tau": 1.0, "delta": 0.9654362879120054}, 2, rho=1.0,
+                         trunc=TruncationPolicy(max_level=64))
+        for _ in range(2):
+            with pytest.raises(TruncationError):
+                resolve(spec)
+        assert len(calls) == 2 and memo == {}
+
+    def test_the_oldest_resolve_is_evicted(self, monkeypatch, memo):
+        calls = self.counted(monkeypatch, "most_repulsive_spectrum")
+        specs = [ModelSpec("most_repulsive", {"eta": 1.0 + k}, 2) for k in range(models._RESOLVED_MAX + 1)]
+        for spec in specs:
+            resolve(spec)
+        assert len(calls) == len(specs) and len(memo) == models._RESOLVED_MAX
+        resolve(specs[-1])  # still held
+        assert len(calls) == len(specs)
+        resolve(specs[1])  # the oldest one held
+        assert len(calls) == len(specs)
+        resolve(specs[0])  # evicted by the last: resolved again
+        assert len(calls) == len(specs) + 1
+
+    def test_threads_sharing_the_memo(self, monkeypatch, memo):
+        # four threads over a four-entry memo, switching often: the memo stays
+        # within its bound, and every thread gets its own spec's model
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        monkeypatch.setattr(models, "_RESOLVED_MAX", 4)
+        specs = [ModelSpec("most_repulsive", {"eta": 1.0 + k % 12}, 2) for k in range(240)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(resolve, spec) for spec in specs]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(memo) <= 4
+        for spec, model in zip(specs, results):
+            assert model.spec is spec
+            assert model.eta == pytest.approx(spec.params["eta"], rel=1e-12)
+
+
 # Each parameter's interval, written out apart from FAMILY_PARAMS:
 # (low, high, low end closed, high end closed).
 POSITIVE = (0.0, math.inf, False, False)
