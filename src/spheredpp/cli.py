@@ -54,10 +54,7 @@ def cmd_coeffs(args) -> int:
     lam = kernel.values
     with np.errstate(divide="ignore"):
         lam_tilde = np.where(lam < 1.0, lam / (1.0 - lam), math.inf)
-    rows = []
-    for ell in range(len(lam)):
-        b = beta.values[ell] if ell < len(beta.values) else 0.0
-        rows.append((ell, int(mults[ell]), b, lam[ell], lam_tilde[ell]))
+    rows = [(ell, int(mults[ell]), beta.values[ell], lam[ell], lam_tilde[ell]) for ell in range(len(lam))]
     if args.format == "json":
         payload = {
             "dim": model.dim,

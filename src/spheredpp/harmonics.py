@@ -32,7 +32,6 @@ theta grid (``plm_sup_sq``).
 from __future__ import annotations
 
 import math
-from math import comb
 
 import numpy as np
 
@@ -67,25 +66,10 @@ def gegenbauer_rows(n_max: int, lam: float, s):
         yield cur
 
 
-def multiplicity(ell: int, dim: int) -> int:
-    """Eigenvalue multiplicity m_(l,d) of the level-l harmonic space.
-
-    m_(0,1) = 1 and m_(l,1) = 2; for d >= 2,
-    m_(l,d) = (2l+d-1)/(d-1) * binom(l+d-2, l), i.e. 2l+1 when d=2.
-    """
-    if ell < 0:
-        raise ValueError("level must be nonnegative")
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
-    if dim == 1:
-        return 1 if ell == 0 else 2
-    if ell == 0:
-        return 1
-    return comb(ell + dim - 1, ell) + comb(ell + dim - 2, ell - 1)
-
-
 def multiplicities(n_max: int, dim: int) -> np.ndarray:
-    """m_(l,d) for l = 0..n_max as floats, with the formula of ``multiplicity``.
+    """Eigenvalue multiplicities m_(l,d) of the level-l harmonic spaces, for
+    l = 0..n_max, as floats: m_(0,1) = 1 and m_(l,1) = 2; for d >= 2,
+    m_(l,d) = (2l+d-1)/(d-1) * binom(l+d-2, l), i.e. 2l+1 when d=2.
 
     binom(l+d-2, l) is built as prod_j (l+j)/j; each step's product is a whole
     multiple of j, so every value below 2^53 is exact.

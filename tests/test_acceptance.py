@@ -17,7 +17,7 @@ from spheredpp.diagnostics import (
     montecarlo_validate,
     pcf,
 )
-from spheredpp.harmonics import multiplicity, norm_plm_table
+from spheredpp.harmonics import norm_plm_table
 from spheredpp.likelihood import ScaledFitSpec, loglik_score_info, newton_mle
 from spheredpp.models import (
     ModelSpec,
@@ -40,7 +40,7 @@ from spheredpp.spectra import (
 from spheredpp.sphere import PointPattern, SpherePoint, sample_uniform_angles, surface_measure
 from spheredpp.streams import substream
 
-from oracles import multiquadric_beta0_s2, sh_bound_sq
+from oracles import multiplicity, multiquadric_beta0_s2, sh_bound_sq
 
 
 def index_set(ell, dim):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from spheredpp import models
-from spheredpp.harmonics import multiplicity
 from spheredpp.diagnostics import (
     RepulsivenessReport,
     eta_times_global_repulsiveness,
@@ -32,6 +31,8 @@ from spheredpp.spectra import (
 from spheredpp.sampler import sample_dpp
 from spheredpp.sphere import PointPattern, SpherePoint, sample_uniform_angles, surface_measure
 from spheredpp.streams import substream
+
+from oracles import multiplicity
 
 
 def uniform_points(dim, n, rng):

@@ -7,7 +7,6 @@ from scipy.special import eval_gegenbauer, eval_legendre, lpmv, sph_harm_y
 from spheredpp.harmonics import (
     gegenbauer_rows,
     multiplicities,
-    multiplicity,
     norm_plm_rows,
     norm_plm_table,
     plm_sup_sq,
@@ -15,7 +14,7 @@ from spheredpp.harmonics import (
 from spheredpp.sampler import ProjectionBasis
 from spheredpp.sphere import sample_uniform_angles
 
-from oracles import sh_bound_sq
+from oracles import multiplicity, sh_bound_sq
 
 FOUR_PI = 4 * math.pi
 

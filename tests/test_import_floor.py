@@ -1,11 +1,12 @@
 """The benchmark's command paths run on numpy alone, and without quadrature.
 
-scipy is loaded only by the Matern kernel with nu < 1/2 (``matern_psi``) and
-by the tests, and fractions only by the first compact-family coefficient
-call (``models._compact_form``).  The composite Gauss-Legendre rule
-(``spectra._panel_rule``), and numpy.polynomial with it, is built only for
-the families whose coefficients come from quadrature (Matern, and the
-compactly supported ones with support past pi), so the benchmark's models
+No package path loads scipy: the Matern kernel with nu < 1/2 computes K_nu
+itself, and only the tests use scipy.  fractions is loaded only by the first
+compact-family coefficient call (``models._compact_form``).  The composite
+Gauss-Legendre rule (``spectra._panel_rule``), and numpy.polynomial with it,
+is built only for the families whose coefficients come from quadrature
+(Matern, and the compactly supported ones with support past pi), so the
+benchmark's models
 leave its cache empty and numpy.polynomial unloaded.  numpy.fft is loaded
 only when a radial series is summed or an S^2 draw builds its colatitude
 envelope, which of the benchmark's commands ``mle`` and ``simulate`` do.  The
@@ -139,6 +140,30 @@ def test_command_paths_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     loaded = json.loads(proc.stdout.strip().splitlines()[-1])
     assert loaded == {"import": [], "resolve": [], "commands": [], "quadrature_node_sets": 0}
+
+
+MATERN_SCRIPT = """
+import json, sys
+
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import spheredpp.cli
+from spheredpp import load_model, resolve
+
+for name, nu, dim in (("matern-s1", 0.125, 1), ("matern-s2", 0.3, 2)):
+    spec = {"family": "matern", "params": {"nu": nu, "c": 0.5}, "dim": dim, "mode": "kernel", "eta": 5}
+    resolve(load_model(spec))
+    with open(name + ".json", "w") as fh:
+        json.dump(spec, fh)
+    for argv in (["coeffs", "--model", name + ".json", "--out", name + "-coeffs.csv"],
+                 ["pcf", "--model", name + ".json", "--out", name + "-pcf.csv"]):
+        if spheredpp.cli.run(argv) != 0:
+            sys.exit("command failed: " + " ".join(argv))
+"""
+
+
+def test_matern_runs_with_scipy_blocked(tmp_path):
+    proc = python("-c", MATERN_SCRIPT, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_cli_import_leaves_numpy_fft_unloaded():

@@ -385,6 +385,30 @@ class TestMatern:
         assert float(psi(0.0)) == 1.0
         assert float(psi(1e-12)) == pytest.approx(1.0, abs=1e-3)
 
+    @pytest.mark.parametrize("nu", [0.01, 0.05, 0.125, 0.2, 0.3, 0.45, 0.4999])
+    def test_bessel_integral_matches_scipy(self, nu):
+        # z reaches 1e-19 / c on the graded panels, for c up to any finite value
+        from scipy.special import kv, kve
+
+        z = np.logspace(-300, 3, 3000)
+        np.testing.assert_allclose(models._kve(nu, z), kve(nu, z), rtol=1e-13, atol=0.0)
+        s = np.logspace(-19, math.log10(math.pi), 2000)
+        for c in (0.5, 1e6, 1e20):
+            reference = 2.0 ** (1.0 - nu) / math.gamma(nu) * (s / c) ** nu * kv(nu, s / c)
+            with np.errstate(all="raise"):
+                got = matern_psi(nu, c)(s)
+            np.testing.assert_allclose(got, reference, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("nu", [0.5, 0.3])
+    def test_psi_keeps_shape_and_nan(self, nu):
+        # nu < 1/2 once returned a float for one point and 1.0 for NaN
+        psi = matern_psi(nu, 1.0)
+        one = psi(np.array([0.3]))
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
+        assert np.shape(psi(0.3)) == () and psi(np.zeros((2, 3))).shape == (2, 3)
+        out = psi(np.array([math.nan, 0.0, 0.3]))
+        assert math.isnan(out[0]) and out[1] == 1.0 and 0.0 < out[2] < 1.0
+
     def test_eta_max_d1(self):
         assert matern_eta_max_d1(1.0) == pytest.approx(
             math.pi / (1.0 - math.exp(-math.pi)), rel=1e-12
@@ -714,6 +738,23 @@ class TestModelSpecResolution:
         # rejected when the spec is built, before resolve
         with pytest.raises(ValueError, match="d=1 only"):
             ModelSpec(family="askey", params={"c": 1.0}, dim=2, rho=0.01)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"family": "multiquadric", "params": {"tau": 1.0, "delta": 0.4}, "dim": 2, "eta": 1.5},
+            {"family": "multiquadric", "params": {"tau": 1.0, "delta": 0.4}, "dim": 2, "mode": "density", "chi": 0.8},
+            {"family": "matern", "params": {"nu": 0.3, "c": 0.5}, "dim": 2, "eta": 5},
+            {"family": "spectral", "params": {"alpha": 8, "beta": 1, "kappa": 2}, "dim": 2},
+            {"family": "most_repulsive", "params": {"eta": 9}, "dim": 2},
+            {"family": "circular_matern", "params": {"sigma": 0.5, "nu": 0.5, "alpha": 1.0}, "dim": 1},
+        ],
+        ids=["kernel-psi", "density-psi", "quadrature-psi", "spectral", "most-repulsive", "circular-matern"],
+    )
+    def test_correlation_beta_has_a_value_per_kernel_level(self, data):
+        # the coeffs table reads beta_d at every level of the kernel
+        model = resolve(load_model(data))
+        assert len(model.correlation_beta.values) == len(model.kernel.values)
 
 
 MQ10 = {"tau": 10.0, "delta": 0.7416437737576226}  # the benchmark's mq10-400
