@@ -16,9 +16,9 @@ Families (radial correlation psi, or a direct spectrum):
     from which its Taylor series, closed-form 1-Schoenberg coefficients and
     tail majorant are derived.
 
-Matern, and the compact families with support past pi, invert psi by
-quadrature.  The multiquadric and the spectral family are cut by
-``truncate_levels``, under one tail rule.
+Matern alone inverts psi by quadrature; every compact family has one exact
+closed form for each c its interval admits.  The multiquadric and the
+spectral family are cut by ``truncate_levels``, under one tail rule.
 
 A psi family specifies a DPP through its kernel C_0 = rho psi with
 rho <= rho_max ("kernel" mode) or its density kernel C~_0 = chi psi with
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import threading
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
@@ -55,8 +56,6 @@ from .spectra import (
     to_density_kernel,
 )
 from .sphere import surface_measure
-
-TWO_PI = 2.0 * math.pi
 
 
 class TruncationError(RuntimeError):
@@ -430,22 +429,22 @@ def matern_psi(nu: float, c: float):
     nu from 0.01 to 0.4999: ``_kve`` is within 2.4e-14 relative of a
     40-digit K_nu (mpmath) on z in [1e-300, 1e3], and psi within 2.7e-14
     absolute of its form with scipy's K_nu, for s in [1e-19, pi] and c from
-    0.5 to 1e20.  The result has the shape of s; NaN and a negative s give
-    NaN.
+    0.5 to 1e20.  The result has the shape of s; psi is even, so a negative
+    s gives psi(|s|), and NaN gives NaN.
     """
     _check_params("matern", nu=nu, c=c)
     if nu == 0.5:
 
         def psi(s):
-            return np.exp(-np.asarray(s, dtype=float) / c)
+            return np.exp(-np.abs(np.asarray(s, dtype=float)) / c)
 
         return psi
 
     pref = 2.0 ** (1.0 - nu) / math.gamma(nu)
 
     def psi(s):
-        z = np.asarray(s, dtype=float) / c
-        # the limits psi(0) = 1 and psi(inf) = 0; NaN where K_nu(z) is not real
+        z = np.abs(np.asarray(s, dtype=float)) / c
+        # the limits psi(0) = 1 and psi(inf) = 0; NaN stays NaN
         out = np.where(z > 0.0, 0.0, np.where(z == 0.0, 1.0, math.nan))
         pos = (z > 0.0) & (z < math.inf)
         x = z[pos]
@@ -501,6 +500,9 @@ def matern_pcf_slope(nu: float, c: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
+
+
 def circular_matern_spectrum(
     sigma: float,
     nu: float,
@@ -513,20 +515,46 @@ def circular_matern_spectrum(
     eigenvalue is the largest).  The algebraic tail is bounded by
     sigma^2 L^(-2 nu) / nu and recorded, not erred on.
     """
+    return _circular_matern(sigma, nu, alpha, trunc)[0]
+
+
+def _circular_matern(sigma: float, nu: float, alpha: float, trunc: TruncationPolicy):
+    """(``circular_matern_spectrum``, its masses beta_l = m_l lambda_l / (eta + tail)).
+
+    Both come from log lambda_l = 2 ln sigma - (nu + 1/2) ln(alpha^2 + l^2), so no
+    power over- or underflows on the way; an eigenvalue below the double range
+    is 0.  Existence is decided on log lambda_0, and beta is formed relative to
+    the larger of lambda_0 and the tail, so that it is found even where eta
+    underflows to 0.  A tail bound beyond the double range raises ValueError
+    naming sigma and nu, and levels that hold none of the mass relative to the
+    tail raise TruncationError naming max_level.
+    """
     _check_params("circular_matern", sigma=sigma, nu=nu, alpha=alpha)
     if trunc.max_level < 1:
         raise ValueError(f"trunc.max_level must be >= 1 for circular_matern, got {trunc.max_level}")
-    lam0 = sigma**2 / alpha ** (2.0 * nu + 1.0)
-    if lam0 > 1.0 + 1e-12:
-        raise ExistenceError(
-            f"circular Matern DPP requires sigma <= alpha^(nu+1/2); "
-            f"lambda_0 = {lam0:.6g} > 1"
-        )
     L = trunc.max_level
-    ells = np.arange(L + 1)
-    values = np.minimum(sigma**2 / (alpha**2 + ells**2) ** (nu + 0.5), 1.0)
-    tail = sigma**2 * float(L) ** (-2.0 * nu) / nu
-    return MercerSpectrum(1, "kernel", values, tail_bound=tail)
+    log_lam = 2.0 * math.log(sigma) - (2.0 * nu + 1.0) * np.log(np.hypot(alpha, np.arange(L + 1)))
+    if log_lam[0] > math.log1p(1e-12):
+        raise ExistenceError(
+            f"circular Matern DPP requires sigma <= alpha^(nu+1/2), got sigma = {sigma!r}: "
+            f"lambda_0 = exp({log_lam[0]:.6g}) > 1"
+        )
+    log_tail = 2.0 * math.log(sigma) - 2.0 * nu * math.log(L) - math.log(nu)
+    if log_tail > _LOG_DOUBLE_MAX:
+        raise ValueError(
+            f"sigma = {sigma!r}, nu = {nu!r}: the tail bound sigma^2 L^(-2 nu) / nu past "
+            f"L = max_level={L} is exp({log_tail:.6g}), beyond the double range"
+        )
+    kernel = MercerSpectrum(1, "kernel", np.exp(log_lam), tail_bound=math.exp(log_tail))
+    top = max(float(log_lam[0]), log_tail)
+    mass, rest = multiplicities(L, 1) * np.exp(log_lam - top), math.exp(log_tail - top)
+    if not np.any(mass):
+        raise TruncationError(
+            f"the levels up to max_level={L} hold none of the mass: next to the tail bound "
+            f"exp({log_tail:.6g}), every lambda_l underflows (lambda_0 = exp({log_lam[0]:.6g}))"
+        )
+    total = float(np.sum(mass)) + rest
+    return kernel, DSchoenbergSeq(1, mass / total, tail_bound=rest / total)
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +589,11 @@ def _horner(coeffs, x):
 # u < radius, pi F(u) = sum_k series[k] u^(2k); from it on,
 # pi F(u) = scale (P(u) + S(u) sin u + C(u) cos u) / u^power with P, S, C the
 # integer polynomials plain, sin, cos (rising powers).  F(u) <= sum_i w_i u^(-k_i)
-# for u > 0, with (w_i, k_i) the pairs of majorant.  (A namedtuple: a dataclass
-# would add a millisecond to the package import.)
-_CompactForm = namedtuple("_CompactForm", "beta0 radius series scale plain sin cos power majorant")
+# for u > 0, with (w_i, k_i) the pairs of majorant.  Past pi, (1/x) int_0^x p is
+# the polynomial mean in x, and odd[j] holds (-1)^j p^(2j+1) (rising powers,
+# padded to deg p terms).  (A namedtuple: a dataclass would add a millisecond to
+# the package import.)
+_CompactForm = namedtuple("_CompactForm", "beta0 radius series scale plain sin cos power majorant mean odd")
 
 
 @lru_cache(maxsize=None)
@@ -576,8 +606,10 @@ def _compact_form(variant: str) -> _CompactForm:
     sum_j (-1)^j [p^(j)(t) e^(iut)]_0^1 / (iu)^(j+1): with m = j + 1, t = 0
     gives a plain u^-m term (odd j only) and t = 1 a cos u or sin u one
     (j >= a only).  As |cos u|, |sin u| <= 1, the weight of u^-m in the
-    majorant is max(0, plain_m + |cos_m| + |sin_m|) / pi.  fractions is
-    imported on the first call, so importing the package does not load it.
+    majorant is max(0, plain_m + |cos_m| + |sin_m|) / pi.  Past pi the
+    integral stops at x = pi/c < 1, where sin(u x) = 0 and cos(u x) = (-1)^l,
+    so only the odd derivatives' boundary terms remain, kept as odd.  fractions
+    is imported on the first call, so importing the package does not load it.
     """
     from fractions import Fraction
 
@@ -592,6 +624,7 @@ def _compact_form(variant: str) -> _CompactForm:
     series = [2 * (-1) ** k * moment(2 * k) / math.factorial(2 * k) for k in range(_SERIES_TERMS)]
     power = len(p)  # deg p + 1
     plain, cos, sin = ([Fraction(0)] * power for _ in range(3))  # coefficients of u^(power - m)
+    odd = []
     deriv = p  # p^(j), j = m - 1
     for m in range(1, power + 1):
         sign = 2 * (-1) ** (m - 1)
@@ -599,6 +632,8 @@ def _compact_form(variant: str) -> _CompactForm:
         plain[power - m] = -sign * re * deriv[0]
         cos[power - m] = sign * re * sum(deriv)
         sin[power - m] = sign * im * sum(deriv)
+        if m % 2 == 0:  # deriv = p^(2j+1) with j = m/2 - 1
+            odd.append(tuple((-1) ** (m // 2 - 1) * float(x) for x in deriv) + (0.0,) * (power - 1 - len(deriv)))
         deriv = [i * x for i, x in enumerate(deriv)][1:]
     weights = [(x + abs(y) + abs(z), power - i) for i, (x, y, z) in enumerate(zip(plain, cos, sin))]
     terms = [x for x in plain + cos + sin if x]
@@ -614,18 +649,21 @@ def _compact_form(variant: str) -> _CompactForm:
         cos=tuple(int(x / scale) for x in cos),
         power=power,
         majorant=tuple((float(w) / math.pi, k) for w, k in weights[::-1] if w > 0),
+        mean=tuple(float(x / (i + 1)) for i, x in enumerate(p)),
+        odd=tuple(odd),
     )
 
 
 def compact_support_psi(variant: str, c: float):
     """Radial correlation psi(s) = p(s/c) with support [0, c], p kept in its
-    factored form (1 - t)^a q(t)."""
+    factored form (1 - t)^a q(t); psi is even, so a negative s gives psi(|s|),
+    and NaN gives NaN."""
     _check_compact(variant, c)
     a, q, den, _ = _COMPACT_FACTORS[variant]
 
     def psi(s):
-        u = np.asarray(s, dtype=float) / c
-        return np.where(u < 1.0, (1.0 - u) ** a * _horner(q, u) / den, 0.0)
+        t = np.minimum(np.abs(np.asarray(s, dtype=float)) / c, 1.0)  # p(1) = 0 past the support
+        return (1.0 - t) ** a * _horner(q, t) / den
 
     return psi
 
@@ -642,32 +680,63 @@ def compact_support_coeffs(variant: str, c: float, n_max: int) -> DSchoenbergSeq
     While the support [0, c] stays inside [0, pi], beta_(l,1) = c F(c l)
     with F the unit-scale coefficient function of ``_compact_form``: its
     Taylor series for c l below the family's radius, where the closed form
-    cancels, and the closed form from there on.  The tail bound comes from its
-    majorant F(u) <= sum_i w_i u^(-k_i) and sum_(l>L) l^(-k) <= L^(1-k) / (k - 1),
-    so the mass past L = n_max is at most 1 and sum_i w_i (c L)^(1-k_i) / (k_i - 1):
-    a bound, which 1 - sum(values) is not, since that difference rounds.
-    Any c > pi falls back to quadrature and keeps the quadrature's
-    1 - sum(values) as its tail, an estimate.
+    cancels, and the closed form from there on.  Past pi (Askey and the
+    spherical family; the Wendlands end at pi) psi is the polynomial
+    P(s) = p(s/c) on all of [0, pi], and the same integration by parts, with
+    the boundary terms at s = pi kept, gives with x = pi/c and u = c l
+
+        beta_(0,1) = (1/x) int_0^x p,
+        beta_(l,1) = (2c/pi) sum_j (-1)^j [(-1)^l p^(2j+1)(x) - p^(2j+1)(0)] / u^(2j+2).
+
+    At even l each difference is taken as a polynomial in x with no constant
+    term, so the two ends do not cancel at large c.  The tail bound comes from
+    a majorant F(u) <= sum_i w_i u^(-k_i), the family's own within pi and the
+    largest term of each j over the parity of l past it, and from
+    sum_(l>L) l^(-k) <= L^(1-k) / (k - 1): the mass past L = n_max is at most
+    1 and sum_i w_i (c L)^(1-k_i) / (k_i - 1), a bound, which 1 - sum(values)
+    is not, since that difference rounds.  A coefficient below -1e-15 means psi
+    is not a correlation on S^1 and raises ValueError naming params.c; rounding
+    above it is clamped to 0.
     """
     _check_compact(variant, c)
-    if c > math.pi:
-        return d_schoenberg_from_psi(compact_support_psi(variant, c), 1, n_max)
     form = _compact_form(variant)
-    u = c * np.arange(1, n_max + 1, dtype=float)
-    cut = int(np.searchsorted(u, form.radius))  # u increases: levels 1..cut take the series
-    near, far = u[:cut], u[cut:]
+    ells = np.arange(1, n_max + 1, dtype=float)
     values = np.empty(n_max + 1)
-    values[0] = c * form.beta0
-    values[1 : cut + 1] = c * (_horner(form.series, near**2) / math.pi)
-    num = _horner(form.plain, far) + _horner(form.sin, far) * np.sin(far) + _horner(form.cos, far) * np.cos(far)
-    values[cut + 1 :] = c * (form.scale * num / (math.pi * far**form.power))
-    values = np.maximum(values, 0.0)
+    if c <= math.pi:
+        u = c * ells
+        cut = int(np.searchsorted(u, form.radius))  # u increases: levels 1..cut take the series
+        near, far = u[:cut], u[cut:]
+        values[0] = c * form.beta0
+        values[1 : cut + 1] = c * (_horner(form.series, near**2) / math.pi)
+        num = _horner(form.plain, far) + _horner(form.sin, far) * np.sin(far) + _horner(form.cos, far) * np.cos(far)
+        values[cut + 1 :] = c * (form.scale * num / (math.pi * far**form.power))
+        majorant = form.majorant
+    else:
+        # (-1)^j p^(2j+1) at 0, and its rise from 0 to x: at even l the bracket is
+        # the rise alone, at odd l -(2 start + rise), and at most |start + rise| - start
+        x = math.pi / c
+        ends = [(d[0], x * _horner(d[1:], x)) for d in form.odd]
+        v = (1.0 / c / ells) ** 2  # 1/u^2, which underflows to 0 for a huge c
+        at_even = _horner([rise for _, rise in ends], v)
+        at_odd = _horner([-2.0 * start - rise for start, rise in ends], v)
+        values[0] = _horner(form.mean, x)
+        values[1:] = 2.0 / math.pi * c * v * np.where(ells % 2, at_odd, at_even)
+        majorant = [(2.0 / math.pi * (abs(start + rise) - start), 2 * j + 2) for j, (start, rise) in enumerate(ends)]
+    negative = np.flatnonzero(values < -1e-15)
+    if len(negative):
+        level = int(negative[0])
+        raise ValueError(
+            f"params.c = {c!r}: beta_({level},1) = {values[level]:.3e} < 0, so psi is not a "
+            f"correlation on S^1"
+        )
     tail = 1.0  # the whole mass, and all that n_max = 0 allows
     if n_max > 0:
         # a term capped at 1 leaves min(1, sum) unchanged, and spares the
-        # division when (c n_max)^(k - 1) underflows to 0 for a tiny c
-        tail = min(tail, sum(w / max((k - 1) * (c * n_max) ** (k - 1), w) for w, k in form.majorant))
-    return DSchoenbergSeq(1, values, tail_bound=tail)
+        # division when (c n_max)^(k - 1) underflows to 0 for a tiny c; a
+        # smaller c n_max only raises a term, and 1e30^(k - 1) stays finite
+        span = min(c * n_max, 1e30)
+        tail = min(tail, sum(w / max((k - 1) * span ** (k - 1), w) for w, k in majorant if w > 0))
+    return DSchoenbergSeq(1, np.maximum(values, 0.0), tail_bound=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -695,8 +764,10 @@ FAMILY_PARAMS = {
     "multiquadric": _Family(tau="(0, inf)", delta="(0, 1)"),
     "matern": _Family(nu="(0, 0.5]", c="(0, inf)"),
     "askey": _Family(1, c="(0, inf)"),
-    "c2_wendland": _Family(1, c=f"(0, {TWO_PI!r}]"),
-    "c4_wendland": _Family(1, c=f"(0, {TWO_PI!r}]"),
+    # the Wendlands end at pi (Gneiting 2013, Bernoulli 19): past it P'(pi) < 0 = P'(0)
+    # makes beta_l < 0 at every large even l
+    "c2_wendland": _Family(1, c=f"(0, {math.pi!r}]"),
+    "c4_wendland": _Family(1, c=f"(0, {math.pi!r}]"),
     "spherical": _Family(1, c="(0, inf)"),
     "spectral": _Family(alpha="(0, inf)", beta="(0, inf)", kappa="(0, inf)"),
     "most_repulsive": _Family(eta="(0, inf)"),
@@ -910,12 +981,7 @@ def _resolve(spec: ModelSpec) -> ResolvedModel:
     """``resolve`` without the memo."""
     sigma = surface_measure(spec.dim)
     if spec.family in PSI_FAMILIES:
-        try:
-            psi, beta_d, exact = _psi_family_beta(spec)
-        except ValueError as exc:  # a compact psi with c past pi may not be a correlation
-            if spec.family not in COMPACT_VARIANTS:
-                raise
-            raise ValueError(f"params.c = {spec.params['c']!r}: {exc}") from exc
+        psi, beta_d, exact = _psi_family_beta(spec)
         if spec.mode == "kernel":
             kernel = mercer_from_d(beta_d, spec.rho * sigma)
             density = to_density_kernel(kernel) if np.all(kernel.values < 1.0) else None
@@ -930,10 +996,10 @@ def _resolve(spec: ModelSpec) -> ResolvedModel:
         return ResolvedModel(spec, kernel, beta_from_kernel(kernel), beta_d, None, density, exact)
 
     if spec.family == "circular_matern":
-        kernel = circular_matern_spectrum(**spec.params, trunc=spec.trunc)
+        kernel, beta = _circular_matern(**spec.params, trunc=spec.trunc)
     else:
         family = spectral_model_spectrum if spec.family == "spectral" else most_repulsive_spectrum
         kernel = family(**spec.params, dim=spec.dim, trunc=spec.trunc)
+        beta = beta_from_kernel(kernel)
     density = to_density_kernel(kernel) if np.all(kernel.values < 1.0) else None
-    beta = beta_from_kernel(kernel)
     return ResolvedModel(spec, kernel, beta, beta, None, density, None)

@@ -333,7 +333,9 @@ def d_schoenberg_from_psi(psi, dim: int, n_max: int) -> DSchoenbergSeq:
     transform has an endpoint singularity and odd d picks up sqrt
     factors).  psi must accept numpy arrays and be smooth on (0, pi); near
     s = 0 it may behave like 1 - C s^a, a > 0, which the graded panels
-    resolve.  A kink inside (0, pi) may raise QuadratureError.
+    resolve.  A kink inside (0, pi) may raise QuadratureError.  In the
+    package only ``models.matern_d_schoenberg`` calls it: every other psi
+    family has its coefficients in closed form or by recurrence.
 
     Two composite Gauss-Legendre rules (``_panel_rule`` at the orders
     _QUAD_ORDERS) give two estimates.  The second is kept if they agree

@@ -326,6 +326,13 @@ class TestModelValidation:
         assert code == 1
         assert "trunc.max_level" in err
 
+    def test_circular_matern_tail_overflow_names_fields(self, tmp_path, capsys):
+        # this once printed "error: math range error"
+        data = {"family": "circular_matern", "params": {"sigma": 1.0, "nu": 1e-310, "alpha": 1.0}, "dim": 1}
+        code, err = self._run(tmp_path, capsys, data)
+        assert code == 1
+        assert "sigma = 1.0, nu = 1e-310: the tail bound" in err
+
     @pytest.mark.parametrize("family", ["askey", "c2_wendland", "c4_wendland", "spherical"])
     def test_tiny_compact_support_exits_0(self, tmp_path, capsys, family):
         # the tail majorant's powers of c n_max underflow to 0 here; this once
@@ -336,14 +343,15 @@ class TestModelValidation:
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("family", ["c2_wendland", "c4_wendland"])
-    @pytest.mark.parametrize("c", [3.25, 3.5])
+    @pytest.mark.parametrize("c", [3.15, 3.2, 3.25, 3.5])
     def test_wendland_past_pi_names_c(self, tmp_path, capsys, family, c):
-        # psi is not a correlation on S^1 there: these once exited 1 with
-        # "total mass exceeds 1" or "negative d-Schoenberg coefficient" alone
+        # psi is not a correlation on S^1 past pi; 3.15 and 3.2 once resolved
+        # (3.2 with 98 or 169 of its 513 coefficients clamped to 0), 3.25 and
+        # 3.5 once failed only when resolved
         model, out = tmp_path / "m.json", tmp_path / "c.csv"
         model.write_text(json.dumps({"family": family, "params": {"c": c}, "dim": 1, "rho": 0.1}))
         assert run(["coeffs", "--model", str(model), "--out", str(out)]) == 1
-        assert f"params.c = {c!r}" in capsys.readouterr().err
+        assert f"c must lie in (0, {math.pi!r}], got {c!r}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_density_tail_past_max_level_exits_1(self, tmp_path, capsys):

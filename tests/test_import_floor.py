@@ -4,14 +4,12 @@ No package path loads scipy: the Matern kernel with nu < 1/2 computes K_nu
 itself, and only the tests use scipy.  fractions is loaded only by the first
 compact-family coefficient call (``models._compact_form``).  The composite
 Gauss-Legendre rule (``spectra._panel_rule``), and numpy.polynomial with it,
-is built only for the families whose coefficients come from quadrature
-(Matern, and the compactly supported ones with support past pi), so the
-benchmark's models
-leave its cache empty and numpy.polynomial unloaded.  numpy.fft is loaded
-only when a radial series is summed or an S^2 draw builds its colatitude
-envelope, which of the benchmark's commands ``mle`` and ``simulate`` do.  The
-checks run in a
-fresh interpreter, because this test process has imported scipy already.
+is built only for Matern, the one family whose coefficients come from
+quadrature, so the benchmark's models leave its cache empty and
+numpy.polynomial unloaded.  numpy.fft is loaded only when a radial series is
+summed or an S^2 draw builds its colatitude envelope, which of the
+benchmark's commands ``mle`` and ``simulate`` do.  The checks run in a fresh
+interpreter, because this test process has imported scipy already.
 The models and the fit pattern are the benchmark's own
 (``perfbench/inputs.py``, standard library and numpy only).
 

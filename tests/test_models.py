@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +71,40 @@ def _cohl_beta(tau, delta, dim, n_levels):
             k += 1
         out.append(pre * total)
     return np.array(out)
+
+
+# Each compact family's p(t) = (1 - t)^a q(t), written out apart from the package
+COMPACT_EXACT = {
+    "askey": (3, [1]),
+    "c2_wendland": (4, [1, 4]),
+    "c4_wendland": (6, [1, 6, Fraction(35, 3)]),
+    "spherical": (2, [1, Fraction(1, 2)]),
+}
+PI_40 = Fraction("3.141592653589793238462643383279502884197")  # pi to 40 digits
+
+
+def _compact_beta_past_pi(variant, c, ell):
+    """beta_(l,1) = (2/pi) int_0^pi P(s) cos(l s) ds (half that at l = 0) of the
+    polynomial P(s) = p(s/c), c >= pi, in rationals with pi to 40 digits: monomial
+    by monomial, I_k = int_0^pi s^k e^(ils) ds = (pi^k (-1)^l - k I_(k-1)) / (il)
+    from I_0 = ((-1)^l - 1) / (il), a recursion the package does not use."""
+    a, q = COMPACT_EXACT[variant]
+    p = list(q)
+    for _ in range(a):  # times (1 - t)
+        p = [x - y for x, y in zip(p + [0], [0] + p)]
+    c = Fraction(c)
+    coeffs = [Fraction(x) / c**i for i, x in enumerate(p)]  # P(s) = sum_i coeffs[i] s^i
+    if ell == 0:
+        return sum(x * PI_40**i / (i + 1) for i, x in enumerate(coeffs))
+    sign = (-1) ** ell
+    re, im = Fraction(sign - 1), Fraction(0)  # (re + i im) / (il) = (im - i re) / l
+    re, im = im / ell, -re / ell
+    total = coeffs[0] * re
+    for k in range(1, len(coeffs)):
+        re, im = sign * PI_40**k - k * re, -k * im
+        re, im = im / ell, -re / ell
+        total += coeffs[k] * re
+    return 2 * total / PI_40
 
 
 class TestCohlOracle:
@@ -514,6 +549,43 @@ class TestCircularMatern:
         expected = math.pi * alpha / math.tanh(math.pi * alpha)
         assert spec.eta == pytest.approx(expected, rel=1e-4)
 
+    def test_existence_in_log_space(self):
+        # lambda_0 = 0.0134^-290 = e^1250.6: this once raised ZeroDivisionError
+        with pytest.raises(ExistenceError, match=r"sigma <= alpha\^\(nu\+1/2\), got sigma = 1\.0"):
+            resolve(ModelSpec("circular_matern", {"sigma": 1.0, "nu": 144.5, "alpha": 0.0134}, 1))
+
+    def test_eta_below_the_double_range_resolves(self):
+        # lambda_0 = 50.5^-248.6 = 10^-423.4 once raised OverflowError; every
+        # eigenvalue is 0 in doubles, but beta does not depend on sigma
+        nu, alpha = 123.8, 50.5
+        model = resolve(ModelSpec("circular_matern", {"sigma": 1.0, "nu": nu, "alpha": alpha}, 1))
+        assert model.eta == 0.0
+        ratios = [math.exp(-(nu + 0.5) * math.log1p((ell / alpha) ** 2)) for ell in range(1, 4097)]
+        beta0 = 1.0 / (1.0 + 2.0 * math.fsum(ratios))
+        assert model.correlation_beta.values[0] == pytest.approx(beta0, rel=1e-13)
+        assert model.correlation_beta.values[1] == pytest.approx(2.0 * ratios[0] * beta0, rel=1e-13)
+
+    def test_large_nu_resolves_without_warning(self):
+        # (alpha^2 + l^2)^(nu + 1/2) once overflowed with a RuntimeWarning,
+        # an error in this suite; lambda_1 = 1.4e-181 lambda_0 and lambda_2 underflows
+        nu, alpha = 636.6, 1.04
+        model = resolve(ModelSpec("circular_matern", {"sigma": 1.0, "nu": nu, "alpha": alpha}, 1))
+        assert model.eta == pytest.approx(math.exp(-(2.0 * nu + 1.0) * math.log(alpha)), rel=1e-12)
+        assert model.correlation_beta.values[0] == 1.0
+
+    def test_levels_without_mass_raise(self):
+        # lambda_0 = e^-2325.6 next to a tail bound e^-835.7: every beta would be
+        # 0 with tail 1, a model with no levels
+        spec = ModelSpec("circular_matern", {"sigma": 1.0, "nu": 50.0, "alpha": 1e10}, 1)
+        with pytest.raises(TruncationError, match=r"max_level=4096 hold none of the mass"):
+            resolve(spec)
+
+    @pytest.mark.parametrize("sigma, nu, alpha", [(1.0, 1e-310, 1.0), (1e200, 0.5, 1e250)])
+    def test_tail_past_the_double_range_names_sigma_and_nu(self, sigma, nu, alpha):
+        # sigma^2 L^(-2 nu) / nu overflows; this once surfaced as a bare OverflowError
+        with pytest.raises(ValueError, match="^" + re.escape(f"sigma = {sigma!r}, nu = {nu!r}: the tail bound")):
+            resolve(ModelSpec("circular_matern", {"sigma": sigma, "nu": nu, "alpha": alpha}, 1))
+
 
 class TestCompactSupport:
     def test_askey_beta0(self):
@@ -582,12 +654,7 @@ class TestCompactSupport:
         # beta_(l,1) = (2c/pi) int_0^1 (1-t)^a q(t) cos(c l t) dt on both sides of the
         # series radius 3, against its Taylor series summed in rationals to 36 terms
         # (the rest is below 1e-30 for c l <= 8), with int_0^1 (1-t)^a t^n dt = a! n! / (a+n+1)!
-        a, q = {
-            "askey": (3, [1]),
-            "c2_wendland": (4, [1, 4]),
-            "c4_wendland": (6, [1, 6, Fraction(35, 3)]),
-            "spherical": (2, [1, Fraction(1, 2)]),
-        }[variant]
+        a, q = COMPACT_EXACT[variant]
         fact = math.factorial
         moments = [
             sum(x * Fraction(fact(a) * fact(2 * k + i), fact(a + 2 * k + i + 1)) for i, x in enumerate(q))
@@ -604,13 +671,17 @@ class TestCompactSupport:
             assert beta[ell] == pytest.approx(exact, rel=rel, abs=0.0)
 
     @pytest.mark.parametrize("variant", COMPACT_VARIANTS)
-    def test_quadrature_only_past_pi(self, variant, monkeypatch):
+    def test_no_quadrature_at_any_support(self, variant, monkeypatch):
         calls = []
         monkeypatch.setattr(models, "d_schoenberg_from_psi", lambda *args: calls.append(args))
-        compact_support_coeffs(variant, math.pi, 40)
+        for c in (math.pi, 3.2, 3.5, 4.0, 10.0, 1e4):
+            if c > math.pi and "wendland" in variant:
+                with pytest.raises(ValueError, match="^c must lie in"):
+                    resolve(ModelSpec(variant, {"c": c}, 1, "kernel", rho=0.01))
+                continue
+            compact_support_coeffs(variant, c, 40)
+            resolve(ModelSpec(variant, {"c": c}, 1, "density", chi=1.0))
         assert calls == []
-        compact_support_coeffs(variant, 4.0, 40)
-        assert len(calls) == 1
 
     @pytest.mark.parametrize("variant", ["askey", "c2_wendland", "c4_wendland", "spherical"])
     def test_resolve_on_the_circle(self, variant):
@@ -629,24 +700,72 @@ class TestCompactSupport:
             beta = compact_support_coeffs(variant, 1.0, 200)
             assert np.all(beta.values >= 0.0)
 
-    def test_large_support_falls_back_to_quadrature(self):
-        # support beyond pi: the caption scaling rule no longer applies,
-        # so the coefficients come from the inversion integral directly
+    def test_large_support_matches_quadrature(self):
+        # support beyond pi: psi has no kink inside (0, pi), so the inversion
+        # integral is a reference for the closed form there
         beta = compact_support_coeffs("askey", 4.0, 15)
         quad = d_schoenberg_from_psi(compact_support_psi("askey", 4.0), 1, 15)
         np.testing.assert_allclose(beta.values, quad.values, atol=1e-12)
 
-    def test_wendland_large_support_not_positive_definite(self):
-        # the Fourier coefficients of the c=4 C2-Wendland go genuinely
-        # negative (~-1e-4): rejected as not a correlation on S^1
-        with pytest.raises(ValueError, match="not a valid correlation"):
-            compact_support_coeffs("c2_wendland", 4.0, 15)
+    @pytest.mark.parametrize("variant", ["c2_wendland", "c4_wendland"])
+    @pytest.mark.parametrize("c", [3.15, 3.2, 3.25, 2.0 * math.pi])
+    def test_wendland_large_support_not_positive_definite(self, variant, c):
+        # past pi beta_l < 0 at every large even l: the table ends the
+        # interval at pi, so the spec fails when it is built, naming c
+        message = rf"^c must lie in \(0, {math.pi!r}\], got {c!r}$"
+        with pytest.raises(ValueError, match=message):
+            ModelSpec(variant, {"c": c}, 1, "kernel", rho=0.01)
+        with pytest.raises(ValueError, match=message):
+            compact_support_coeffs(variant, c, 15)
+
+    @pytest.mark.parametrize("c, level", [(3.2, 318), (3.5, 24)])
+    def test_negative_coefficient_raises_naming_c(self, monkeypatch, c, level):
+        # with the table's interval widened, C2-Wendland past pi takes the
+        # closed form and its first negative coefficient raises, not clamps
+        monkeypatch.setitem(FAMILY_PARAMS, "c2_wendland", models._Family(1, c="(0, inf)"))
+        with pytest.raises(ValueError, match=rf"^params\.c = {c!r}: beta_\({level},1\) = -") as err:
+            compact_support_coeffs("c2_wendland", c, 512)
+        assert "not a correlation on S^1" in str(err.value)
 
     def test_c_range(self):
         with pytest.raises(ValueError):
             compact_support_coeffs("c2_wendland", 7.0, 5)
         with pytest.raises(ValueError):
             compact_support_coeffs("askey", -1.0, 5)
+
+    @pytest.mark.parametrize("variant", ["askey", "spherical"])
+    @pytest.mark.parametrize("c", [3.2, 3.5, 4.0, 10.0, 1e4])
+    def test_past_pi_against_exact_rationals(self, variant, c):
+        # the quadrature this closed form replaced was 2e-10 (c = 4) to 100 %
+        # (spherical, c = 1e4, level 512) off here
+        beta = compact_support_coeffs(variant, c, 512).values
+        assert np.all(beta >= 0.0)
+        for ell in (0, 1, 2, 3, 10, 11, 100, 101, 512):
+            exact = float(_compact_beta_past_pi(variant, c, ell))
+            assert beta[ell] == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    def test_oracle_at_pi_matches_the_closed_form(self):
+        # at c = pi both routes integrate p over [0, 1]: the oracle agrees with the
+        # closed form the package uses within the support
+        for variant in COMPACT_VARIANTS:
+            beta = compact_support_coeffs(variant, math.pi, 40).values
+            for ell in (0, 1, 2, 7, 40):
+                exact = float(_compact_beta_past_pi(variant, PI_40, ell))
+                assert beta[ell] == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("variant", COMPACT_VARIANTS)
+    def test_sampled_supports(self, variant):
+        # c log-uniform over the family's interval: (0, pi] for the Wendlands,
+        # 1e-3 to 1e4 for the others
+        low, high = (1e-3 * math.pi, math.pi) if "wendland" in variant else (1e-3, 1e4)
+        rng = np.random.default_rng(2013)
+        for c in np.exp(rng.uniform(math.log(low), math.log(high), 25)):
+            beta = compact_support_coeffs(variant, float(c), 512)
+            total = float(np.sum(beta.values))
+            assert np.all(beta.values >= 0.0)
+            assert total <= 1.0 + 1e-9
+            assert total + beta.tail_bound >= 1.0 - 1e-12
+            resolve(ModelSpec(variant, {"c": float(c)}, 1, "density", chi=1.0))
 
 
 class TestCompactTailBound:
@@ -660,6 +779,23 @@ class TestCompactTailBound:
         for n_max in (64, 512):
             beta = compact_support_coeffs(variant, c, n_max)
             assert beta.tail_bound >= float(np.sum(far[n_max + 1 :]))
+
+    @pytest.mark.parametrize("variant", ["askey", "spherical"])
+    @pytest.mark.parametrize("c", [3.2, 3.5, 4.0, 10.0, 1e4])
+    def test_tail_bound_past_pi(self, variant, c):
+        far = compact_support_coeffs(variant, c, 10**6).values
+        for n_max in (64, 512):
+            beta = compact_support_coeffs(variant, c, n_max)
+            assert beta.tail_bound >= float(np.sum(far[n_max + 1 :]))
+
+    @pytest.mark.parametrize("variant", ["askey", "spherical"])
+    @pytest.mark.parametrize("c", [1e300, 1.7e308])
+    def test_huge_support_is_the_constant(self, variant, c):
+        # psi = 1 on [0, pi] up to pi/c: beta_0 = 1, and 1/(c l)^2 underflows
+        # to 0 with no overflow on the way (a warning is an error here)
+        beta = compact_support_coeffs(variant, c, 512)
+        assert beta.values[0] == 1.0 and not np.any(beta.values[1:])
+        assert beta.tail_bound < 1e-29
 
     def test_no_levels_bounds_the_whole_mass(self):
         assert compact_support_coeffs("askey", 1.0, 0).tail_bound == 1.0
@@ -912,8 +1048,8 @@ PARAMETER_INTERVALS = {
     ("matern", "nu"): (0.0, 0.5, False, True),
     ("matern", "c"): POSITIVE,
     ("askey", "c"): POSITIVE,
-    ("c2_wendland", "c"): (0.0, 2.0 * math.pi, False, True),
-    ("c4_wendland", "c"): (0.0, 2.0 * math.pi, False, True),
+    ("c2_wendland", "c"): (0.0, math.pi, False, True),
+    ("c4_wendland", "c"): (0.0, math.pi, False, True),
     ("spherical", "c"): POSITIVE,
     ("spectral", "alpha"): POSITIVE,
     ("spectral", "beta"): POSITIVE,
@@ -989,6 +1125,27 @@ class TestParameterTable:
     def test_circle_families_rejected_on_the_sphere(self, family):
         with pytest.raises(ValueError, match=f"^{family} is available for d=1 only, got d=2$"):
             load_model(_model_object(family, VALID_PARAMS[family], dim=2))
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("multiquadric", {"tau": 1.0, "delta": 0.5}),
+        ("matern", {"nu": 0.5, "c": 1.0}),
+        ("matern", {"nu": 0.3, "c": 1.0}),
+        *((variant, {"c": 2.0}) for variant in COMPACT_VARIANTS),
+        ("askey", {"c": 4.0}),
+    ],
+    ids=["multiquadric", "matern-half", "matern-0.3", *COMPACT_VARIANTS, "askey-past-pi"],
+)
+def test_psi_is_even(family, params):
+    # Matern nu = 1/2 once gave e at s = -1, nu < 1/2 NaN, and Askey 3.375 at s = -0.5;
+    # the compact families once gave 0 for NaN
+    psi = _family_function(family, params)
+    s = np.array([0.0, 1e-3, 0.3, 0.5, 1.0, 2.0, 3.0, math.pi, 4.0, 7.0])
+    np.testing.assert_array_equal(psi(-s), psi(s))
+    assert np.all(np.isnan(psi(np.array([math.nan, -math.nan]))))
+    assert math.isnan(float(psi(math.nan)))
 
 
 JSON_VALUES = st.recursive(
