@@ -17,8 +17,10 @@ Families (radial correlation psi, or a direct spectrum):
     tail majorant are derived.
 
 Matern alone inverts psi by quadrature; every compact family has one exact
-closed form for each c its interval admits.  The multiquadric and the
-spectral family are cut by ``truncate_levels``, under one tail rule.
+closed form for each c its interval admits.  The multiquadric, the spectral
+and the most repulsive family are cut by ``truncate_levels``, under one tail
+rule: each hands it the counts of the levels it evaluated, a bound on each,
+and a certified bound on all that lies past them.
 
 A psi family specifies a DPP through its kernel C_0 = rho psi with
 rho <= rho_max ("kernel" mode) or its density kernel C~_0 = chi psi with
@@ -99,19 +101,15 @@ def truncate_levels(series, trunc: TruncationPolicy):
     tail_L <= tail_tol * (represented_L + tail_L), in expected points.
 
     ``series(n)`` gives, for levels 0..n, their values, their expected counts,
-    an upper bound b_l on each count, and a ratio rho that bounds b_(l+1)/b_l
-    past level n (None where none is known).  tail_L is the exact suffix sum
-    of b over the evaluated levels past L, plus the geometric bound
-    b_n rho / (1 - rho) past level n; without rho < 1 - 1e-9 that n gives no
-    cut.  The level count doubles from 64 up to max_level; reaching it first
-    raises TruncationError.
+    an upper bound b_l on each count, and a certified bound on the sum of b_l
+    over every level past n (math.inf where none is known, and then that n
+    gives no cut).  tail_L is the exact suffix sum of b over the evaluated
+    levels past L plus that bound.  The level count doubles from 64 up to
+    max_level; reaching it first raises TruncationError.
     """
     n_max = min(64, trunc.max_level)
     while True:
-        values, terms, bounds, rho = series(n_max)
-        beyond = math.inf
-        if rho is not None and rho < 1.0 - 1e-9:
-            beyond = bounds[-1] * rho / (1.0 - rho)
+        values, terms, bounds, beyond = series(n_max)
         suffix = np.cumsum(bounds[::-1])[::-1]  # suffix[l] = sum of bounds from l on
         tails = np.append(suffix[1:], 0.0) + beyond
         represented = np.cumsum(terms)
@@ -218,9 +216,11 @@ def multiquadric_d_schoenberg(
     lambda~ = chi sigma_d beta / m, each at most chi sigma_d beta.  The ratios
     r_k = beta_(k+1)/beta_k approach delta monotonically, since
     beta_k ~ k^(tau+lam-1) delta^k: from below when tau + lam < 1, from above
-    when tau + lam > 1.  That is checked per call, and rho = max(r_n, delta)
-    then bounds every ratio from the last evaluated level n on (r_n..r_(n+2)
-    are checked).
+    when tau + lam > 1.  That is checked per call (on r_n..r_(n+2) at the
+    last evaluated level n), and rho = max(r_n, delta) then bounds every ratio
+    from n on, so ``cut_terms`` hands ``truncate_levels`` the geometric tail
+    b_n rho / (1 - rho) past n.  Without that check, or with rho >= 1 - 1e-9,
+    no tail is known there (math.inf).
     """
     _check_params("multiquadric", tau=tau, delta=delta)
     lead = math.floor(20.0 / -math.log(delta)) + 1  # delta^(2 lead) < e^-40
@@ -233,12 +233,14 @@ def multiquadric_d_schoenberg(
 
     def cut_terms(beta, ratios):
         # ratios: r_k = beta_(k+1) / beta_k for k = n..n+2
-        rho = max(float(ratios[0]), delta) if _approaches(ratios, delta) else None
-        if chi is None:
-            return beta, beta, beta, rho
-        m = multiplicities(len(beta) - 1, dim)
-        lam_tilde = scale * beta / m
-        return beta, m * (lam_tilde / (1.0 + lam_tilde)), scale * beta, rho
+        counts = bounds = beta
+        if chi is not None:
+            m = multiplicities(len(beta) - 1, dim)
+            lam_tilde = scale * beta / m
+            counts, bounds = m * (lam_tilde / (1.0 + lam_tilde)), scale * beta
+        rho = max(float(ratios[0]), delta)
+        certified = _approaches(ratios, delta) and rho < 1.0 - 1e-9
+        return beta, counts, bounds, bounds[-1] * rho / (1.0 - rho) if certified else math.inf
 
     stages = []
 
@@ -315,18 +317,35 @@ def spectral_model_spectrum(
     All eigenvalues lie strictly inside (0, 1), so the DPP always exists
     and has a density.  The series is cut by ``truncate_levels``: the tail
     of sum m*lambda is its exact suffix sum within the evaluated levels,
-    plus a bound on what lies past them.
+    plus a proved bound on what lies past level n, for every kappa and d.
+    With N = n + 1 and y = (N/alpha)^kappa: lambda_l < e^(-(l/alpha)^kappa)/beta,
+    and m_(l,d) <= m_(N,d) (l/N)^(d-1) for l >= N, as m is a polynomial of
+    degree d - 1 in l with no negative coefficient.  Once kappa y >= d - 1,
+    x^(d-1) e^(-(x/alpha)^kappa) decreases past N, so its sum past N is below
+    its integral, (alpha^d / kappa) Gamma(d/kappa, y), and
+    Gamma(s, y) <= y^(s-1) e^-y / (1 - max(s - 1, 0)/y) for y > max(s - 1, 0).
+    With the term of level N itself:
+
+        sum_(l>n) m_l lambda_l <= m_N e^-y (1 + N / (kappa y - max(d - kappa, 0))) / beta,
+
+    formed in logs (a y capped at e^700 only loosens it).  Below those
+    conditions no bound is known at n.  For kappa < 1 the cut reaches far
+    (top level 2283 on S^1 at alpha = 8, beta = 1, kappa = 1/2), and
+    kappa = 0.3 there needs more than max_level.
     """
     _check_params("spectral", alpha=alpha, beta=beta, kappa=kappa)
 
     def series(n):
-        with np.errstate(over="ignore"):  # lambda is 0 where exp overflows
+        mults = multiplicities(n + 1, dim)
+        y = math.exp(min(kappa * math.log((n + 1) / alpha), 700.0))
+        rate = kappa * y - max(dim - kappa, 0.0)
+        tail = math.inf
+        with np.errstate(over="ignore"):  # lambda is 0 where exp overflows, and a bound past the range inf
             lam = 1.0 / (1.0 + beta * np.exp((np.arange(n + 1) / alpha) ** kappa))
-        terms = multiplicities(n, dim) * lam
-        if terms[-1] == 0.0:  # the terms decrease to 0: nothing lies past them once they underflow
-            return lam, terms, terms, 0.0
-        ratios = terms[1:][-3:] / terms[:-1][-3:]
-        return lam, terms, terms, ratios[-1] if _approaches(ratios, 0.0) else None
+            if rate > 0.0 and kappa * y >= dim - 1:
+                tail = np.exp(math.log(mults[-1]) - math.log(beta) - y + math.log1p((n + 1) / rate))
+        terms = mults[:-1] * lam
+        return lam, terms, terms, tail
 
     values, tail = truncate_levels(series, trunc)
     return MercerSpectrum(dim, "kernel", values, tail_bound=tail)
@@ -345,9 +364,10 @@ def most_repulsive_spectrum(
     lambda = 1 below the boundary level n, a fractional value at n so
     that sum m*lambda = eta, and 0 above; n is the level with
     cum(n-1) < eta <= cum(n) of cumulative multiplicities.  The levels
-    are cut by ``truncate_levels``: a boundary past max_level raises
-    TruncationError, and a boundary level holding at most tail_tol of eta
-    is cut off into the tail bound.
+    are cut by ``truncate_levels``, with nothing past the evaluated levels
+    once they reach the boundary level and no bound known before: a boundary
+    past max_level raises TruncationError, and a boundary level holding at
+    most tail_tol of eta is cut off into the tail bound.
     """
     _check_params("most_repulsive", eta=eta)
 
@@ -356,7 +376,7 @@ def most_repulsive_spectrum(
         below = np.concatenate(([0.0], np.cumsum(mults[:-1])))  # cum(l-1)
         lam = np.clip((eta - below) / mults, 0.0, 1.0)
         terms = mults * lam
-        return lam, terms, terms, 0.0 if below[-1] + mults[-1] >= eta else None
+        return lam, terms, terms, 0.0 if below[-1] + mults[-1] >= eta else math.inf
 
     try:
         values, tail = truncate_levels(series, trunc)

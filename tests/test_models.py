@@ -338,6 +338,7 @@ class TestSpectralModel:
         assert np.all(spec.values > 0.0)
         assert np.all(spec.values < 1.0)
 
+    @pytest.mark.filterwarnings("error")
     def test_projection_limit(self):
         # alpha=n, beta=1/(n kappa), kappa huge: approaches the
         # projection onto levels <= n with eta = (n+1)^2 = 16
@@ -358,6 +359,102 @@ class TestSpectralModel:
 
         with pytest.raises(TruncationError):
             spectral_model_spectrum(1e4, 1.0, 0.5, 2, TruncationPolicy(max_level=64))
+
+    # rounding of the two sums: a few ulps of the tail
+    ROUNDING = 1e-15
+    BOUND_CASES = [
+        *((*abk, dim) for abk in [(8, 1, 0.9), (30, 0.5, 0.7), (8, 1, 0.5), (8, 1, 1), (8, 1, 2)] for dim in (1, 2)),
+        (8, 1, 0.9, 3),
+    ]
+
+    @pytest.mark.parametrize("alpha, beta, kappa, dim", BOUND_CASES + [(0.3, 0.3, 1, 3), (8, 1, 2, 3)])
+    def test_bound_past_every_level(self, alpha, beta, kappa, dim, monkeypatch):
+        # the bound the family hands truncate_levels past level n, for n = 0..511,
+        # against the sum past n out to level 4 x 10^6
+        seen = []
+        monkeypatch.setattr(models, "truncate_levels", lambda series, trunc: seen.append(series) or ([0.5], 0.0))
+        spectral_model_spectrum(float(alpha), float(beta), kappa, dim)
+        series = seen[0]
+        terms = series(511)[1]
+        past = _spectral_sum(alpha, beta, kappa, dim, 512, 4_000_000) + np.append(
+            np.cumsum(terms[::-1])[::-1][1:], 0.0
+        )
+        bounds = np.array([series(n)[3] for n in range(512)])
+        assert np.all(bounds >= (1.0 - self.ROUNDING) * past)
+        assert math.isfinite(bounds[-1])
+
+    @pytest.mark.parametrize("alpha, beta, kappa, dim", BOUND_CASES)
+    def test_tail_bound_is_a_bound_for_every_kappa(self, alpha, beta, kappa, dim):
+        spec = spectral_model_spectrum(float(alpha), float(beta), kappa, dim)
+        top = len(spec.values) - 1
+        remainder = _spectral_sum(alpha, beta, kappa, dim, top + 1, 4_000_000)
+        assert spec.tail_bound >= (1.0 - self.ROUNDING) * remainder > 0.0
+        tol = TruncationPolicy().tail_tol
+        assert spec.tail_bound <= (1.0 + self.ROUNDING) * tol * (spec.eta + spec.tail_bound)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_slow_decay_past_max_level_raises(self, dim):
+        # kappa = 0.3: the bound is finite, but reaches tail_tol only past level 4096
+        with pytest.raises(TruncationError, match=r"^series tail .* at max_level=4096, "):
+            spectral_model_spectrum(8.0, 1.0, 0.3, dim)
+
+
+def _spectral_sum(alpha, beta, kappa, dim, start, stop):
+    """sum of m_l lambda_l of the spectral family over levels start..stop, in
+    blocks of 10^6 levels."""
+    total, mults = 0.0, multiplicities(stop, dim)
+    for low in range(start, stop + 1, 10**6):
+        ells = np.arange(low, min(low + 10**6, stop + 1))
+        with np.errstate(over="ignore"):
+            lam = 1.0 / (1.0 + beta * np.exp((ells / alpha) ** kappa))
+        total += float(np.sum(mults[ells] * lam))
+    return total
+
+
+class TestTruncateLevels:
+    """The shared cut on a synthetic series: counts 2^-l, each its own bound,
+    whose sum past level n is 2^-n."""
+
+    @staticmethod
+    def halving(beyond):
+        calls = []
+
+        def series(n):
+            calls.append(n)
+            terms = 0.5 ** np.arange(n + 1)
+            return terms, terms, terms, beyond(n)
+
+        return series, calls
+
+    def test_finite_tail_cuts_at_the_smallest_level(self):
+        # the tail past L is 2^-L, at most 1e-3 of the count 2 first at L = 9
+        series, calls = self.halving(lambda n: 0.5**n)
+        values, tail = models.truncate_levels(series, TruncationPolicy(tail_tol=1e-3))
+        assert len(values) == 10
+        assert tail == pytest.approx(0.5**9, rel=1e-15)
+        assert calls == [64]
+
+    def test_tail_adds_the_bound_past_n(self):
+        # a loose bound, 10 x 2^-n, at max_level n = 16: the tail past L is
+        # 2^-L + 9 x 2^-16, at most 1e-3 of the count first at L = 10
+        series, calls = self.halving(lambda n: 10.0 * 0.5**n)
+        values, tail = models.truncate_levels(series, TruncationPolicy(max_level=16, tail_tol=1e-3))
+        assert len(values) == 11
+        assert tail == pytest.approx(0.5**10 + 9.0 * 0.5**16, rel=1e-15)
+        assert calls == [16]
+
+    def test_cut_waits_for_a_finite_tail(self):
+        series, calls = self.halving(lambda n: 0.5**n if n >= 256 else math.inf)
+        values, tail = models.truncate_levels(series, TruncationPolicy(max_level=1000, tail_tol=1e-3))
+        assert len(values) == 10
+        assert tail == pytest.approx(0.5**9, rel=1e-15)
+        assert calls == [64, 128, 256]
+
+    def test_no_tail_bound_raises(self):
+        series, calls = self.halving(lambda n: math.inf)
+        with pytest.raises(TruncationError, match=r"^no tail bound is known past max_level=300, "):
+            models.truncate_levels(series, TruncationPolicy(max_level=300, tail_tol=1e-3))
+        assert calls == [64, 128, 256, 300]
 
 
 class TestMostRepulsive:
@@ -1127,6 +1224,48 @@ class TestParameterTable:
             load_model(_model_object(family, VALID_PARAMS[family], dim=2))
 
 
+class TestSampledSpecs:
+    """Specs drawn inside FAMILY_PARAMS, six per family and sphere (circle-only
+    families on S^1 alone; psi families in density mode with chi = 1): each
+    resolves, raises TruncationError naming max_level, or raises ValueError
+    naming a parameter.  Each parameter is log-uniform over 1e-3 to 1e4 where its
+    interval is (0, inf), and over 1e-3 h to h where it is (0, h) or (0, h]."""
+
+    CUT = ("multiquadric", "spectral", "most_repulsive")
+    # rounding of the summed counts: a few ulps of eta
+    ROUNDING = 1e-15
+
+    @pytest.mark.parametrize("family", models.ALL_FAMILIES)
+    def test_resolves_or_fails_naming_a_field(self, family):
+        rng = np.random.default_rng([2016, models.ALL_FAMILIES.index(family)])
+        resolved = 0
+        for dim in (1,) if FAMILY_PARAMS[family].dim == 1 else (1, 2):
+            for _ in range(6):
+                params = {}
+                for name in FAMILY_PARAMS[family]:
+                    high = PARAMETER_INTERVALS[(family, name)][1]
+                    low, high = (1e-3, 1e4) if high == math.inf else (1e-3 * high, high)
+                    params[name] = float(np.exp(rng.uniform(math.log(low), math.log(high))))
+                scale = {"mode": "density", "chi": 1.0} if family in models.PSI_FAMILIES else {}
+                spec = ModelSpec(family, params, dim, **scale)
+                try:
+                    model = resolve(spec)
+                except TruncationError as err:
+                    assert "max_level=" in str(err), (params, dim)
+                    continue
+                except ValueError as err:
+                    assert any(name in str(err) for name in params), (params, dim, str(err))
+                    continue
+                resolved += 1
+                kernel, tol = model.kernel, spec.trunc.tail_tol
+                if family in self.CUT:  # the represented eta falls short by at most tail_tol
+                    assert kernel.eta >= (1.0 - tol - self.ROUNDING) * (kernel.eta + kernel.tail_bound), (params, dim)
+                elif family in COMPACT_VARIANTS:  # 512 levels, and a tail bound that covers the rest
+                    beta = model.psi_beta
+                    assert float(np.sum(beta.values)) + beta.tail_bound >= 1.0 - 1e-12, (params, dim)
+        assert resolved
+
+
 @pytest.mark.parametrize(
     "family, params",
     [
@@ -1237,12 +1376,6 @@ def _density_count(beta, chi, dim):
     return float(np.sum(m * (lam_tilde / (1.0 + lam_tilde))))
 
 
-def _spectral_count(alpha, beta, kappa, dim, n_levels=20_000):
-    with np.errstate(over="ignore"):
-        lam = 1.0 / (1.0 + beta * np.exp((np.arange(n_levels) / alpha) ** kappa))
-    return float(np.sum(multiplicities(n_levels - 1, dim) * lam))
-
-
 def _mq_density(tau, delta, chi, trunc):
     return ModelSpec("multiquadric", {"tau": tau, "delta": delta}, 2, "density", chi=chi, trunc=trunc)
 
@@ -1275,15 +1408,15 @@ CONTRACT_CASES = {
     },
     "sp-8-1-2": (
         ModelSpec("spectral", {"alpha": 8.0, "beta": 1.0, "kappa": 2.0}, 2, trunc=TIGHT),
-        lambda: _spectral_count(8.0, 1.0, 2.0, 2),
+        lambda: _spectral_sum(8.0, 1.0, 2.0, 2, 0, 19_999),
     ),
     "spectral-4-2-1.5": (
         ModelSpec("spectral", {"alpha": 4.0, "beta": 2.0, "kappa": 1.5}, 2, trunc=TIGHT),
-        lambda: _spectral_count(4.0, 2.0, 1.5, 2),
+        lambda: _spectral_sum(4.0, 2.0, 1.5, 2, 0, 19_999),
     ),
     "spectral-3-0.5-1-circle": (
         ModelSpec("spectral", {"alpha": 3.0, "beta": 0.5, "kappa": 1.0}, 1, trunc=TIGHT),
-        lambda: _spectral_count(3.0, 0.5, 1.0, 1),
+        lambda: _spectral_sum(3.0, 0.5, 1.0, 1, 0, 19_999),
     ),
     "most-repulsive-400": (
         ModelSpec("most_repulsive", {"eta": 400.0}, 2, trunc=TIGHT),
