@@ -22,7 +22,7 @@ import numpy as np
 
 from .harmonics import multiplicities
 from .models import TruncationError, resolve
-from .sampler import draw_bernoulli_basis
+from .sampler import level_counts
 from .spectra import (
     DSchoenbergSeq,
     MercerSpectrum,
@@ -267,20 +267,14 @@ class ValidationReport:
 def montecarlo_validate(model, n_reps: int, seed: int) -> ValidationReport:
     """Check the count moments of the Bernoulli stage at 3 sigma.
 
-    Each replicate draws the eigenfunction basis from an independently
-    seeded substream ('replicate:i' derived from the root seed).  A full
-    sample from that substream has exactly one point per selected
-    eigenfunction, so the projection stage is not run.
+    Each replicate draws the per-level counts (``sampler.level_counts``) from
+    an independently seeded substream ('replicate:i' derived from the root
+    seed).  They are the first draw of a sample from that substream, whose
+    count is their sum, so neither the kept orders nor the points are drawn.
     """
     if n_reps < 2:
         raise ValueError("need at least 2 replicates")
-    counts = np.array(
-        [
-            len(draw_bernoulli_basis(model.kernel, substream(seed, "replicate", i)))
-            for i in range(n_reps)
-        ],
-        dtype=float,
-    )
+    counts = np.array([level_counts(model.kernel, substream(seed, "replicate", i)).sum() for i in range(n_reps)])
 
     mean = float(np.mean(counts))
     var = float(np.var(counts, ddof=1))

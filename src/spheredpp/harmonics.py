@@ -72,7 +72,7 @@ def multiplicities(n_max: int, dim: int) -> np.ndarray:
     m_(l,d) = (2l+d-1)/(d-1) * binom(l+d-2, l), i.e. 2l+1 when d=2.
 
     binom(l+d-2, l) is built as prod_j (l+j)/j; each step's product is a whole
-    multiple of j, so every value below 2^53 is exact.
+    multiple of j, so every value below 2^53 is exact; one that overflows raises ValueError.
     """
     if dim < 1:
         raise ValueError("dimension must be >= 1")
@@ -82,10 +82,14 @@ def multiplicities(n_max: int, dim: int) -> np.ndarray:
         out[:1] = 1.0
         return out
     binom = np.ones(n_max + 1)
-    for j in range(1, dim - 1):
-        binom *= ells + j
-        binom /= j
-    return (2.0 * ells + dim - 1.0) * binom / (dim - 1.0)
+    with np.errstate(over="ignore"):
+        for j in range(1, dim - 1):
+            binom *= ells + j
+            binom /= j
+        out = (2.0 * ells + dim - 1.0) * binom / (dim - 1.0)
+    if not np.isfinite(out).all():
+        raise ValueError(f"multiplicities at {dim=} overflow a double from level {np.argmin(np.isfinite(out))} on")
+    return out
 
 
 def plm_sup_sq(l_max: int) -> np.ndarray:
@@ -127,8 +131,8 @@ def norm_plm_rows(ells, ms, x) -> np.ndarray:
     sin^m / sqrt(4 pi), the recurrence Pbar_l^m = a (x Pbar_(l-1)^m - b Pbar_(l-2)^m)
     runs once per order up to the highest level a row of that order needs.
     Orders run sorted by their step count, so the ones still running at a step
-    lead, and each step gathers their a, b from one table per order and step;
-    rows are read off as their levels come up, and l = m takes no step.
+    lead, and each step reads their a, b from one table over those orders and
+    the steps; rows are read off as their levels come up, and l = m takes no step.
     Every value stays within sqrt((2l+1)/(4 pi)), so high levels do not overflow.
     """
     ells = np.asarray(ells, dtype=int)
@@ -141,21 +145,18 @@ def norm_plm_rows(ells, ms, x) -> np.ndarray:
     diag = np.cumprod(-np.sqrt((2.0 * i + 1.0) / (2.0 * i)))  # (-1)^m prod_(i<=m) sqrt(...)
     seed = np.concatenate([[1.0], diag]) / math.sqrt(FOUR_PI)
     sx = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    if not steps.any():  # every row is on the diagonal
-        return seed[ms, None] * sx ** ms[:, None]  # 0.0**0 == 1 at the poles
     state_m, state_of_row = np.unique(ms, return_inverse=True)
     state_steps = np.zeros(len(state_m), dtype=int)
     np.maximum.at(state_steps, state_of_row, steps)
     by_steps = np.argsort(-state_steps, kind="stable")  # orders still running at step t lead
     state_m, state_steps = state_m[by_steps], state_steps[by_steps]
     state_of_row = np.argsort(by_steps)[state_of_row]
-    top = int(state_steps[0])
+    top = int(steps.max(initial=0))
     active = np.searchsorted(-state_steps, -np.arange(1, top + 1), side="right")
-    every_m = np.arange(len(seed), dtype=float)
-    ell = every_m + np.arange(1.0, top + 1)[:, None]  # [step - 1, m]; b = 0 at l = m + 1
-    a_tab = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - every_m * every_m))
-    b_tab = np.sqrt(((ell - 1.0) ** 2 - every_m * every_m) / (4.0 * (ell - 1.0) ** 2 - 1.0))
-    cur = seed[state_m, None] * sx ** state_m[:, None]
+    ell = state_m + np.arange(1.0, top + 1)[:, None]  # [step - 1, order]; b = 0 at l = m + 1
+    a_tab = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - state_m * state_m))
+    b_tab = np.sqrt(((ell - 1.0) ** 2 - state_m * state_m) / (4.0 * (ell - 1.0) ** 2 - 1.0))
+    cur = seed[state_m, None] * sx ** state_m[:, None]  # 0.0**0 == 1 at the poles
     prev = np.zeros_like(cur)
     scratch = np.empty_like(cur)
     out = np.empty((len(ms), x.size))
@@ -165,10 +166,10 @@ def norm_plm_rows(ells, ms, x) -> np.ndarray:
         if t:  # Pbar_(m+t) = a (x Pbar_(m+t-1) - b Pbar_(m+t-2)), into the older buffer
             k = active[t - 1]
             nxt = prev[:k]
-            nxt *= b_tab[t - 1, state_m[:k], None]
+            nxt *= b_tab[t - 1, :k, None]
             np.multiply(x, cur[:k], out=scratch[:k])
             np.subtract(scratch[:k], nxt, out=nxt)
-            nxt *= a_tab[t - 1, state_m[:k], None]
+            nxt *= a_tab[t - 1, :k, None]
             prev, cur = cur, prev
         done = rows[due[t] : due[t + 1]]
         out[done] = cur[state_of_row[done]]

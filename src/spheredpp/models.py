@@ -103,15 +103,15 @@ def truncate_levels(series, trunc: TruncationPolicy):
     ``series(n)`` gives, for levels 0..n, their values, their expected counts,
     an upper bound b_l on each count, and a certified bound on the sum of b_l
     over every level past n (math.inf where none is known, and then that n
-    gives no cut).  tail_L is the exact suffix sum of b over the evaluated
-    levels past L plus that bound.  The level count doubles from 64 up to
-    max_level; reaching it first raises TruncationError.
+    gives no cut).  tail_L, the suffix sum of b over the evaluated levels past L
+    plus that bound, is rounded up by k eps relative for its k summands.  The level
+    count doubles from 64 up to max_level; reaching it first raises TruncationError.
     """
     n_max = min(64, trunc.max_level)
     while True:
         values, terms, bounds, beyond = series(n_max)
         suffix = np.cumsum(bounds[::-1])[::-1]  # suffix[l] = sum of bounds from l on
-        tails = np.append(suffix[1:], 0.0) + beyond
+        tails = (np.append(suffix[1:], 0.0) + beyond) * (1.0 + np.finfo(float).eps * np.arange(len(bounds), 0, -1))
         represented = np.cumsum(terms)
         cut = np.flatnonzero(np.isfinite(tails) & (tails <= trunc.tail_tol * (represented + tails)))
         if len(cut):

@@ -1,8 +1,8 @@
 """Exact simulation of isotropic DPPs on S^1 and S^2.
 
-Two-stage sampler: (1) draw independent Bernoulli variables with the
-kernel eigenvalues as means, selecting n eigenfunctions; (2) sample the
-resulting projection DPP sequentially (Hough et al. 2006; Lavancier, Moller
+Two-stage sampler: (1) keep each eigenfunction with its eigenvalue as
+probability, a Binomial count and a uniform subset of orders per level;
+(2) draw the projection DPP sequentially (Hough et al. 2006; Lavancier, Moller
 and Rubak 2015).  With v(x) the vector of selected eigenfunction values and
 h_0 = |v|^2, point j+1 has density h_j/(n-j), where h_j is the squared norm
 of v's component in the complement of the span absorbed so far.  Proposals
@@ -95,30 +95,28 @@ class ProjectionBasis:
         return out
 
 
-def _flat_indices(dim: int, n_levels: int):
-    """Flattened (level, order) arrays covering all eigenfunctions of the
-    first n_levels levels, in (l ascending, k ascending) order: k runs over
-    -l..l on S^2 and over {0} at l = 0, {-1, 1} above it on S^1."""
-    counts = multiplicities(n_levels - 1, dim).astype(int)
-    levels = np.repeat(np.arange(n_levels), counts)
-    place = np.arange(len(levels)) - np.repeat(np.cumsum(counts) - counts, counts)  # 0..m_l - 1
-    return levels, (place - levels if dim == 2 else 2 * place - (levels > 0))
-
-
-def draw_bernoulli_basis(spec: MercerSpectrum, rng: np.random.Generator) -> ProjectionBasis:
-    """Select each eigenfunction (l, k) independently with probability
-    lambda_(l,d); all orders at a level share the level's eigenvalue.
-
-    One uniform variate is consumed per candidate index, in (l, k)
-    order, so the draw is reproducible under a fixed generator state.
-    """
+def level_counts(spec: MercerSpectrum, rng: np.random.Generator) -> np.ndarray:
+    """Binomial(m_(l,d), lambda_(l,d)) count of the kept eigenfunctions of each
+    level: the first draw of ``draw_bernoulli_basis``, whose size is their sum."""
     if spec.kind != "kernel":
         raise ValueError("basis selection needs a kernel spectrum")
     if spec.dim not in (1, 2):
         raise ValueError("sampling implemented for d in {1, 2} only")
-    all_levels, all_orders = _flat_indices(spec.dim, len(spec.values))
-    keep = rng.random(len(all_levels)) < spec.values[all_levels]
-    return ProjectionBasis(spec.dim, all_levels[keep], all_orders[keep])
+    return rng.binomial(spec.mults.astype(np.int64), spec.values)
+
+
+def draw_bernoulli_basis(spec: MercerSpectrum, rng: np.random.Generator) -> ProjectionBasis:
+    """Select each eigenfunction (l, k) independently with probability lambda_(l,d):
+    the m_l orders of a level share it, so the level keeps a Binomial count c
+    (``level_counts``) and a uniform c-subset of its places p < m_l, order k = p - l
+    on S^2 and 2p - 1 (0 at l = 0) on S^1.  A draw costs a variate per level and
+    per kept order, not one per candidate function."""
+    counts = level_counts(spec, rng)
+    levels = np.repeat(np.arange(len(counts)), counts)
+    places = [np.arange(m) if c == m else np.sort(rng.choice(m, c, replace=False, shuffle=False))
+              for c, m in zip(counts.tolist(), spec.mults.astype(int).tolist()) if c]
+    place = np.concatenate(places) if places else levels
+    return ProjectionBasis(spec.dim, levels, place - levels if spec.dim == 2 else 2 * place - (levels > 0))
 
 
 class _ColatitudeEnvelope:
@@ -127,8 +125,8 @@ class _ColatitudeEnvelope:
 
     h_0 = sum_i Pbar_(l_i)^|k_i|(cos theta)^2 depends on the colatitude only, and
     f is a sine polynomial sum_(j <= D) b_j sin(j theta) of degree D = 2L + 1.
-    One ``norm_plm_rows`` call, which runs each selected order once, gives f at
-    the D + 2 nodes k pi / (D + 1); one real FFT of its odd extension gives the
+    ``norm_plm_rows``, on blocks of 8 CHUNK nodes, gives f at the D + 2 nodes
+    k pi / (D + 1); one real FFT of its odd extension gives the
     b_j, so |f''| <= M = sum_j j^2 |b_j|, and an inverse FFT gives f at the cell
     ends.  On a cell of width w = pi / K, f lies below its chord plus w^2 M / 8,
     so G = max(f at the two ends) + w^2 M / 8, raised by 1e-12 relative for
@@ -140,8 +138,11 @@ class _ColatitudeEnvelope:
         D = 2 * basis.max_level + 1
         K = 8 * D
         nodes = np.arange(D + 2) * (math.pi / (D + 1))
-        vals = norm_plm_rows(basis.levels, np.abs(basis.orders), np.cos(nodes))
-        f = 2.0 * math.pi * np.sin(nodes) * np.einsum("ij,ij->j", vals, vals)
+        h0 = np.empty(D + 2)
+        for s in range(0, D + 2, 8 * CHUNK):  # (n, 8 CHUNK) values at a time, not (n, D + 2)
+            vals = norm_plm_rows(basis.levels, np.abs(basis.orders), np.cos(nodes[s : s + 8 * CHUNK]))
+            h0[s : s + 8 * CHUNK] = np.einsum("ij,ij->j", vals, vals)
+        f = 2.0 * math.pi * np.sin(nodes) * h0
         # the rfft of f's odd 2(D + 1)-periodic extension is -i (D + 1) b_j
         b = -np.fft.rfft(np.concatenate([f, -f[-2:0:-1]])).imag[1 : D + 1] / (D + 1)
         spectrum = np.zeros(K + 1, dtype=complex)

@@ -175,7 +175,7 @@ class TestFitCommands:
         draw = sample_dpp(resolve(load_model(dict(base, eta=300.0))), substream(3, "basis"))
         pts = tmp_path / "pts.csv"
         draw.pattern.to_csv(pts)
-        assert len(draw.pattern) == 316
+        assert len(draw.pattern) == 292
         fits = []
         for data in [dict(base, eta=300.0)] + [dict(base, mode="density", chi=chi) for chi in (1.0, 5.0, 50.0)]:
             model, out = tmp_path / "m.json", tmp_path / "fit.json"
@@ -259,6 +259,20 @@ class TestExitCodes:
         argv = [argv[0], "--model", str(mq_model), *(a.format(out=out) for a in argv[1:])]
         assert run(argv) == 2
         assert f"argument {flag}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_multiplicities_past_the_double_range_exit_1_naming_dim(self, tmp_path, capsys):
+        # m_(l,200) overflows a double below level 4096: one error line, and no numpy
+        # warning, which the CLI would catch as an error under the test configuration
+        model = tmp_path / "d200.json"
+        model.write_text(json.dumps(
+            {"family": "spectral", "params": {"alpha": 1000, "beta": 1, "kappa": 1}, "dim": 200}
+        ))
+        out = tmp_path / "c.csv"
+        assert run(["coeffs", "--model", str(model), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: multiplicities at dim=200 overflow a double from level")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_runtime_error(self, tmp_path):

@@ -179,6 +179,16 @@ class TestNormPlmRows:
             expected = np.where(m == 0, pole**ell * np.sqrt((2 * ell + 1) / FOUR_PI), 0.0)
             np.testing.assert_allclose(vals, expected, rtol=1e-13, atol=0.0)
 
+    def test_any_rows_match_the_full_table_bitwise(self):
+        # a row's value does not depend on which other orders the call runs
+        table = norm_plm_table(80, np.linspace(-1.0, 1.0, 33))
+        g = np.random.default_rng(17)
+        for size in (1, 2, 5, 40, 300):
+            ell = g.integers(0, 81, size)
+            m = (g.random(size) * (ell + 1)).astype(int)
+            vals = norm_plm_rows(ell, m, np.linspace(-1.0, 1.0, 33))
+            assert vals.tobytes() == table[ell, m].tobytes()
+
     def test_shapes_and_order_range(self):
         ell, m = [3, 3, 3, 3], [0, 1, 2, 3]
         assert norm_plm_rows(ell, m, np.zeros(5)).shape == (4, 5)
@@ -213,6 +223,13 @@ class TestMultiplicity:
         assert multiplicities(-1, 2).tolist() == []
         with pytest.raises(ValueError):
             multiplicities(4, 0)
+
+    def test_past_the_double_range_raises_naming_dim(self):
+        # binom(l + 198, l) passes 1.8e308 below level 4096, with no overflow
+        # warning (the test configuration makes a RuntimeWarning an error)
+        with pytest.raises(ValueError, match=r"dim=200 overflow a double from level 2462 on"):
+            multiplicities(4096, 200)
+        assert np.isfinite(multiplicities(2461, 200)).all()
 
     def test_index_set_sizes(self):
         for dim in (1, 2):

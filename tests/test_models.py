@@ -392,6 +392,12 @@ class TestSpectralModel:
         tol = TruncationPolicy().tail_tol
         assert spec.tail_bound <= (1.0 + self.ROUNDING) * tol * (spec.eta + spec.tail_bound)
 
+    def test_tail_bound_rounds_up(self):
+        # an unrounded suffix sum read 3.244275596426783e-07 here, one ulp below the
+        # remainder past the cut, 3.2442755964267835e-07
+        spec = spectral_model_spectrum(2.0, 0.5, 2.0, 3)
+        assert spec.tail_bound >= _spectral_sum(2, 0.5, 2, 3, len(spec.values), 4_000_000)
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_slow_decay_past_max_level_raises(self, dim):
         # kappa = 0.3: the bound is finite, but reaches tail_tol only past level 4096

@@ -8,7 +8,6 @@ from scipy.stats import chisquare, ks_2samp
 from spheredpp.models import ModelSpec, most_repulsive_spectrum, resolve
 from spheredpp.sampler import (
     ProjectionBasis,
-    _flat_indices,
     draw_bernoulli_basis,
     sample_dpp,
     sample_projection,
@@ -36,12 +35,14 @@ def index_set_basis(dim, n_levels):
 
 class TestBasisIndices:
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_flat_indices_list_every_index_set(self, dim):
+    def test_sure_levels_keep_every_index_set(self, dim):
+        # eigenvalue 1 keeps every order of every level, listed in (l, k) order
         full = index_set_basis(dim, 200)
+        g = rng(3)
         for n_levels in range(1, 201):
-            levels, orders = _flat_indices(dim, n_levels)
-            np.testing.assert_array_equal(levels, full.levels[full.levels < n_levels])
-            np.testing.assert_array_equal(orders, full.orders[full.levels < n_levels])
+            basis = draw_bernoulli_basis(MercerSpectrum(dim, "kernel", np.ones(n_levels)), g)
+            np.testing.assert_array_equal(basis.levels, full.levels[full.levels < n_levels])
+            np.testing.assert_array_equal(basis.orders, full.orders[full.levels < n_levels])
 
     @pytest.mark.parametrize("L", [0, 1, 7, 40])
     def test_envelope_of_a_full_basis(self, L):
@@ -85,6 +86,42 @@ class TestBernoulliBasis:
     def test_dim_guard(self):
         with pytest.raises(ValueError):
             draw_bernoulli_basis(MercerSpectrum(3, "kernel", [0.5]), rng())
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_each_function_and_pair_kept_independently(self, dim):
+        # lambda = 0.3 at levels 0..5: each (l, k) is kept with frequency lambda and
+        # each pair with lambda^2, within 5 s.e.  A subset rule that keeps a level's
+        # lowest orders keeps its first with frequency 1 - 0.7^m_l.
+        full = index_set_basis(dim, 6)
+        column = {pair: i for i, pair in enumerate(zip(full.levels.tolist(), full.orders.tolist()))}
+        spec = MercerSpectrum(dim, "kernel", np.full(6, 0.3))
+        draws = 10_000
+        kept = np.zeros((draws, len(full)))
+        g = rng(2006)
+        for i in range(draws):
+            basis = draw_bernoulli_basis(spec, g)
+            kept[i, [column[p] for p in zip(basis.levels.tolist(), basis.orders.tolist())]] = 1.0
+        freq = kept.T @ kept / draws
+        expected = np.where(np.eye(len(full), dtype=bool), 0.3, 0.09)
+        se = np.sqrt(expected * (1.0 - expected) / draws)
+        assert np.all(np.abs(freq - expected) <= 5.0 * se)
+
+    def test_long_spectrum_draw_holds_no_candidate_table(self):
+        # (8, 1, 1/2) on S^2: 3,667 levels and 13.4 million candidate functions
+        import tracemalloc
+
+        from spheredpp.models import spectral_model_spectrum
+
+        spec = spectral_model_spectrum(8.0, 1.0, 0.5, 2)
+        assert len(spec.values) == 3667
+        tracemalloc.start()
+        try:
+            basis = draw_bernoulli_basis(spec, rng(8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert abs(len(basis) - spec.eta) <= 5.0 * math.sqrt(spec.count_variance)
 
 
 class TestProjectionSampling:
